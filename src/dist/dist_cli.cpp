@@ -1,9 +1,23 @@
 #include "dist/dist_cli.hpp"
 
-#include "engine/sim_cli.hpp"
 #include "opt/opt_cli.hpp"
 
 namespace profisched::dist {
+
+namespace {
+
+bool parse_mode(const std::string& v, SweepMode& out) {
+  if (v == "sweep") out = SweepMode::Analysis;
+  else if (v == "simulate") out = SweepMode::Sim;
+  else if (v == "combined") out = SweepMode::Combined;
+  else if (v == "optimize") out = SweepMode::Optimize;
+  else return false;
+  return true;
+}
+
+constexpr const char* kModeError = "--mode needs sweep|simulate|combined|optimize";
+
+}  // namespace
 
 bool parse_shard_args(const std::vector<std::string>& args, ShardCli& out, std::string& error) {
   ShardCli cli;
@@ -13,93 +27,70 @@ bool parse_shard_args(const std::vector<std::string>& args, ShardCli& out, std::
     return false;
   };
 
-  // First pass: peel off the shard-specific flags, leaving the sweep flags
-  // for the shared simulate parser (so both subcommands keep one flag table
-  // and identical defaults — the byte-identity of merged output depends on a
-  // shard describing its sweep exactly as `sweep`/`simulate` would).
-  std::vector<std::string> sweep_args;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    const auto next = [&](std::string& v) {
-      if (i + 1 >= args.size()) return false;
-      v = args[++i];
-      return true;
-    };
-    std::string v;
-    if (arg == "--mode") {
-      if (!next(v)) return fail("--mode needs sweep|simulate|combined|optimize");
-      if (v == "sweep") cli.shard.mode = SweepMode::Analysis;
-      else if (v == "simulate") cli.shard.mode = SweepMode::Sim;
-      else if (v == "combined") cli.shard.mode = SweepMode::Combined;
-      else if (v == "optimize") cli.shard.mode = SweepMode::Optimize;
-      else return fail("--mode needs sweep|simulate|combined|optimize");
-    } else if (arg == "--shard") {
-      if (!next(v)) return fail("--shard needs k/K (e.g. 2/4)");
-      const std::size_t slash = v.find('/');
-      std::size_t k = 0, count = 0;
-      if (slash == std::string::npos ||
-          !engine::parse_cli_count(v.substr(0, slash), k, 1'000'000) ||
-          !engine::parse_cli_count(v.substr(slash + 1), count, 1'000'000) || k == 0 ||
-          count == 0 || k > count) {
-        return fail("--shard needs k/K with 1 <= k <= K");
-      }
-      cli.index = k - 1;  // CLI is 1-based, the plan is 0-based
-      cli.count = count;
-      have_shard = true;
-    } else if (arg == "--out") {
-      if (!next(v) || v.empty()) return fail("--out needs a file path");
-      cli.out_path = v;
-    } else if (arg == "--method") {
-      if (!next(v)) return fail("--method needs paper|refined");
-      if (v == "paper") cli.shard.spec.sweep.engine.method = profibus::TcycleMethod::PaperEq13;
-      else if (v == "refined") {
-        cli.shard.spec.sweep.engine.method = profibus::TcycleMethod::PerMasterRefined;
-      } else {
-        return fail("--method needs paper|refined");
-      }
-    } else {
-      sweep_args.push_back(arg);
-    }
+  // --mode picks the flag table the rest is parsed with (simulator flags,
+  // policy names, search brackets), so it is read first, wherever it sits.
+  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
+    if (args[i] == "--mode" && !parse_mode(args[i + 1], cli.shard.mode)) return fail(kModeError);
   }
+  const std::vector<engine::CliFlag> shard_flags = {
+      {"--mode",
+       [](const std::string& v, std::string& e) {
+         SweepMode mode = SweepMode::Analysis;
+         if (parse_mode(v, mode)) return true;
+         e = kModeError;
+         return false;
+       }},
+      {"--shard",
+       [&](const std::string& v, std::string& e) {
+         const std::size_t slash = v.find('/');
+         std::size_t k = 0, count = 0;
+         if (slash == std::string::npos ||
+             !engine::parse_cli_count(v.substr(0, slash), k, 1'000'000) ||
+             !engine::parse_cli_count(v.substr(slash + 1), count, 1'000'000) || k == 0 ||
+             count == 0 || k > count) {
+           e = "--shard needs k/K with 1 <= k <= K";
+           return false;
+         }
+         cli.index = k - 1;  // CLI is 1-based, the plan is 0-based
+         cli.count = count;
+         have_shard = true;
+         return true;
+       }},
+      {"--out",
+       [&](const std::string& v, std::string& e) {
+         cli.out_path = v;
+         if (!v.empty()) return true;
+         e = "--out needs a file path";
+         return false;
+       }},
+  };
 
-  const engine::EngineOptions engine_opts = cli.shard.spec.sweep.engine;  // --method survives
+  // Every other flag goes through the table `sweep`/`simulate`/`optimize`
+  // parse with, so a shard describes its sweep exactly as the single-process
+  // run would — the byte-identity of merged output depends on it.
   if (cli.shard.mode == SweepMode::Optimize) {
-    // Optimize mode shares the optimize subcommand's flag table (search
-    // brackets included) the same way the other modes share simulate's.
     opt::OptimizeCli opt_cli;
-    if (!opt::parse_optimize_args(sweep_args, opt_cli, error)) return false;
-    if (!opt_cli.csv_path.empty() || !opt_cli.json_path.empty()) {
-      return fail("shard emits one artifact via --out; merge the artifacts to get CSV/JSON");
-    }
+    if (!opt::parse_optimize_args(args, opt_cli, error, shard_flags)) return false;
     cli.shard.spec.sweep = std::move(opt_cli.spec.sweep);
     cli.shard.optimize = opt_cli.spec.options;
-    cli.threads = opt_cli.threads;
-    cli.cache_dir = std::move(opt_cli.cache_dir);
-    cli.metrics_path = std::move(opt_cli.metrics_path);
-    cli.progress = opt_cli.progress;
+    static_cast<engine::SweepRunFlags&>(cli) = std::move(opt_cli);
   } else {
     engine::SimSweepCli sweep_cli;
-    if (!engine::parse_sim_sweep_args(sweep_args, sweep_cli, error,
-                                      /*simulable_only=*/cli.shard.mode != SweepMode::Analysis)) {
+    if (!engine::parse_sim_sweep_args(args, sweep_cli, error,
+                                      /*simulable_only=*/cli.shard.mode != SweepMode::Analysis,
+                                      shard_flags)) {
       return false;
     }
-    if (!sweep_cli.csv_path.empty() || !sweep_cli.json_path.empty()) {
-      return fail("shard emits one artifact via --out; merge the artifacts to get CSV/JSON");
-    }
-    if (sweep_cli.combined) {
-      return fail("use --mode combined instead of --combined");
-    }
+    if (sweep_cli.combined) return fail("use --mode combined instead of --combined");
     cli.shard.spec = std::move(sweep_cli.spec);
-    cli.threads = sweep_cli.threads;
-    cli.cache_dir = std::move(sweep_cli.cache_dir);
-    cli.metrics_path = std::move(sweep_cli.metrics_path);
-    cli.progress = sweep_cli.progress;
+    static_cast<engine::SweepRunFlags&>(cli) = std::move(sweep_cli);
   }
-  cli.shard.spec.sweep.engine = engine_opts;
-
+  if (!cli.csv_path.empty() || !cli.json_path.empty()) {
+    return fail("shard emits one artifact via --out; merge the artifacts to get CSV/JSON");
+  }
   if (!have_shard) return fail("--shard k/K is required");
   if (cli.out_path.empty()) return fail("--out FILE is required");
-  // --cache/--metrics went through the delegated parsers' up-front checks;
+  // --cache/--metrics went through the shared table's up-front checks;
   // --out is shard's own flag, so it gets the same treatment here.
   if (!engine::validate_cli_output_file(cli.out_path, "--out", error)) return false;
   out = std::move(cli);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dist/shard.hpp"
+#include "engine/sim_cli.hpp"
 
 namespace profisched::dist {
 
@@ -16,27 +17,23 @@ namespace profisched::dist {
 /// artifact goes, and the full sweep spec (same flags and defaults as the
 /// sweep/simulate subcommands — a shard MUST describe its sweep identically
 /// to the single-process run it will be compared against).
-struct ShardCli {
+/// The inherited csv_path/json_path stay empty: a shard's one output is the
+/// artifact at out_path.
+struct ShardCli : engine::SweepRunFlags {
   ShardSpec shard;
   std::uint64_t index = 0;  ///< 0-based (the CLI's k/K form is 1-based)
   std::uint64_t count = 1;
   std::string out_path;
-  std::string cache_dir;     ///< optional --cache DIR
-  unsigned threads = 0;      ///< 0 = auto
-  std::string metrics_path;  ///< --metrics FILE: metrics + run-manifest JSON sidecar
-  bool progress = false;     ///< --progress: stderr heartbeat while scenarios run
 };
 
 /// Parse the flags after `profisched shard`. Accepts --shard k/K (required,
 /// 1 <= k <= K), --out FILE (required), --mode sweep|simulate|combined|
-/// optimize (default sweep), --cache DIR, --method paper|refined, and every
-/// sweep flag of `profisched simulate` (--scenarios/--u/--policies/...). In
-/// sweep mode --policies admits the full analysis table (opa, token,
-/// holistic); simulate/combined modes keep the simulable-only restriction;
-/// optimize mode shares `profisched optimize`'s flag table instead (search
-/// brackets included, policies restricted to the optimizable four). Returns
-/// true on success; false with a one-line diagnostic in `error` (never
-/// throws).
+/// optimize (default sweep), and every flag of the subcommand the mode
+/// names except --csv/--json: sweep mode takes `profisched sweep`'s flags
+/// (full analysis policy table, simulator flags rejected), simulate/combined
+/// take `profisched simulate`'s, optimize takes `profisched optimize`'s
+/// (search brackets included). Returns true on success; false with a
+/// one-line diagnostic in `error` (never throws).
 [[nodiscard]] bool parse_shard_args(const std::vector<std::string>& args, ShardCli& out,
                                     std::string& error);
 

@@ -338,17 +338,6 @@ std::string serialize_spec(const ShardSpec& spec) {
   return out;
 }
 
-ShardSpec parse_spec(const std::string& text) {
-  LineReader r(text);
-  const ShardSpec spec = read_spec(r);
-  // A spec block is exactly what serialize_spec emitted — anything after the
-  // last spec line means the sender framed it wrong.
-  if (!r.peek_keyword().empty()) {
-    throw std::invalid_argument("shard spec: trailing data after spec block");
-  }
-  return spec;
-}
-
 std::string ShardArtifact::to_text() const {
   const std::size_t n_pol = spec.spec.sweep.policies.size();
   std::string out = kMagic;
@@ -551,39 +540,46 @@ ShardArtifact ShardRunner::run(const ShardSpec& spec, std::uint64_t index, std::
   art.shard_index = index;
   art.shard_count = count;
   art.range = plan.ranges[static_cast<std::size_t>(index)];
-  switch (spec.mode) {
-    case SweepMode::Analysis: {
-      engine::SweepResult r = runner_.run(spec.spec.sweep, art.range, cache);
-      art.analysis = std::move(r.outcomes);
-      art.cache_hits = r.cache_hits;
-      art.cache_misses = r.cache_misses;
-      break;
-    }
-    case SweepMode::Sim: {
-      engine::SimSweepResult r = runner_.run_sim(spec.spec, art.range, cache);
-      art.sim = std::move(r.outcomes);
-      art.cache_hits = r.cache_hits;
-      art.cache_misses = r.cache_misses;
-      break;
-    }
-    case SweepMode::Combined: {
-      engine::CombinedResult r = runner_.run_combined(spec.spec, art.range, cache);
-      art.combined = std::move(r.outcomes);
-      art.cache_hits = r.cache_hits;
-      art.cache_misses = r.cache_misses;
-      break;
-    }
-    case SweepMode::Optimize: {
-      opt::OptimizeResult r =
-          opt::run_optimize(runner_, opt::OptimizeSpec{spec.spec.sweep, spec.optimize},
-                            art.range, cache);
-      art.optimize = std::move(r.outcomes);
-      art.cache_hits = r.cache_hits;
-      art.cache_misses = r.cache_misses;
-      break;
-    }
-  }
+  MergedSweep r = run_sweep(runner_, spec, art.range, cache);
+  art.analysis = std::move(r.analysis.outcomes);
+  art.sim = std::move(r.sim.outcomes);
+  art.combined = std::move(r.combined.outcomes);
+  art.optimize = std::move(r.optimize.outcomes);
+  art.cache_hits = r.stats().cache_hits;
+  art.cache_misses = r.stats().cache_misses;
   return art;
+}
+
+const engine::RunStats& MergedSweep::stats() const noexcept {
+  switch (spec.mode) {
+    case SweepMode::Analysis: return analysis;
+    case SweepMode::Sim: return sim;
+    case SweepMode::Combined: return combined;
+    case SweepMode::Optimize: return optimize;
+  }
+  return analysis;
+}
+
+MergedSweep run_sweep(engine::SweepRunner& runner, const ShardSpec& spec, engine::IdRange range,
+                      engine::ScenarioCache* cache) {
+  MergedSweep r;
+  r.spec = spec;
+  switch (spec.mode) {
+    case SweepMode::Analysis:
+      r.analysis = runner.run(spec.spec.sweep, range, cache);
+      break;
+    case SweepMode::Sim:
+      r.sim = runner.run_sim(spec.spec, range, cache);
+      break;
+    case SweepMode::Combined:
+      r.combined = runner.run_combined(spec.spec, range, cache);
+      break;
+    case SweepMode::Optimize:
+      r.optimize =
+          opt::run_optimize(runner, opt::OptimizeSpec{spec.spec.sweep, spec.optimize}, range, cache);
+      break;
+  }
+  return r;
 }
 
 MergedSweep merge_shards(const std::vector<ShardArtifact>& shards) {

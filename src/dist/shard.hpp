@@ -98,11 +98,6 @@ struct ShardArtifact {
 /// compares these byte-for-byte to reject mixed-spec shard sets.
 [[nodiscard]] std::string serialize_spec(const ShardSpec& spec);
 
-/// Inverse of serialize_spec: parse one standalone spec block (the serve
-/// protocol ships specs in exactly this form). Throws std::invalid_argument
-/// on any malformed, truncated, or trailing-data input.
-[[nodiscard]] ShardSpec parse_spec(const std::string& text);
-
 /// Executes single shards through the engine's ranged sweep entry points.
 class ShardRunner {
  public:
@@ -123,15 +118,26 @@ class ShardRunner {
   engine::SweepRunner runner_;
 };
 
-/// A merged sweep: the common spec plus the reassembled whole-sweep result
-/// (the vector matching spec.mode is populated, indexed by global id).
+/// A sweep's result in whichever mode it ran: the spec plus the result
+/// matching spec.mode (the other three stay empty). A single-process run
+/// (run_sweep over [0, N)) and a merge of its shards produce the same one.
 struct MergedSweep {
   ShardSpec spec;
   engine::SweepResult analysis;
   engine::SimSweepResult sim;
   engine::CombinedResult combined;
   opt::OptimizeResult optimize;
+
+  /// Run statistics of the populated result.
+  [[nodiscard]] const engine::RunStats& stats() const noexcept;
 };
+
+/// Run the scenario ids in `range` through the backend spec.mode names —
+/// SweepRunner::run / run_sim / run_combined or opt::run_optimize. Outcomes
+/// land at slot id - range.begin, exactly as those entry points place them.
+[[nodiscard]] MergedSweep run_sweep(engine::SweepRunner& runner, const ShardSpec& spec,
+                                    engine::IdRange range,
+                                    engine::ScenarioCache* cache = nullptr);
 
 /// Reassemble one sweep from its shard artifacts. Validation is strict and
 /// throws std::invalid_argument on: no artifacts, differing spec blocks or

@@ -1,5 +1,7 @@
 #include "engine/sim_cli.hpp"
 
+#include <algorithm>
+#include <array>
 #include <exception>
 
 namespace profisched::engine {
@@ -71,10 +73,16 @@ bool parse_cli_faults(const std::string& v, profibus::FaultModel& out, std::stri
   return true;
 }
 
+/// Flags that only configure the simulator: an analysis sweep rejects them
+/// by name rather than carrying a sim half no run reads.
+constexpr std::array<std::string_view, 8> kSimulatorFlags = {
+    "--reps", "--horizon", "--cycles", "--model", "--quantile", "--faults", "--lp", "--combined"};
+
 }  // namespace
 
 bool parse_sim_sweep_args(const std::vector<std::string>& args, SimSweepCli& out,
-                          std::string& error, bool simulable_only) {
+                          std::string& error, bool simulable_only,
+                          const std::vector<CliFlag>& extra) {
   SimSweepCli cli;
   cli.spec.sweep.base.n_masters = 1;
   cli.spec.sweep.base.streams_per_master = 5;
@@ -97,6 +105,10 @@ bool parse_sim_sweep_args(const std::vector<std::string>& args, SimSweepCli& out
     };
     std::string v;
     std::size_t count = 0;
+    if (!simulable_only &&
+        std::find(kSimulatorFlags.begin(), kSimulatorFlags.end(), arg) != kSimulatorFlags.end()) {
+      return fail(arg + " configures the simulator, which this subcommand does not run");
+    }
     if (arg == "--scenarios") {
       if (!next(v) || !parse_cli_count(v, cli.spec.sweep.scenarios_per_point, 100'000'000) ||
           cli.spec.sweep.scenarios_per_point == 0) {
@@ -159,6 +171,10 @@ bool parse_sim_sweep_args(const std::vector<std::string>& args, SimSweepCli& out
         return fail("--ttr needs a tick count");
       }
       cli.spec.sweep.base.ttr = static_cast<Ticks>(count);
+    } else if (arg == "--method") {
+      if (!next(v) || (v != "paper" && v != "refined")) return fail("--method needs paper|refined");
+      cli.spec.sweep.engine.method = v == "paper" ? profibus::TcycleMethod::PaperEq13
+                                                  : profibus::TcycleMethod::PerMasterRefined;
     } else if (arg == "--horizon") {
       if (!next(v) || !parse_cli_count(v, count, 1'000'000'000'000ULL) || count == 0) {
         return fail("--horizon needs a tick count >= 1");
@@ -211,8 +227,13 @@ bool parse_sim_sweep_args(const std::vector<std::string>& args, SimSweepCli& out
       cli.metrics_path = v;
     } else if (arg == "--progress") {
       cli.progress = true;
+    } else if (const auto flag = std::find_if(extra.begin(), extra.end(),
+                                              [&](const CliFlag& f) { return f.name == arg; });
+               flag != extra.end()) {
+      (void)next(v);
+      if (!flag->apply(v, error)) return false;
     } else {
-      return fail("unknown simulate flag '" + arg + "'");
+      return fail("unknown flag '" + arg + "'");
     }
   }
 

@@ -10,9 +10,7 @@
 // Shutdown contract: stop() (also run by the destructor) lets the workers
 // drain every job already queued, then retires them. A submit() AFTER stop
 // throws std::logic_error — the queue it would push into has no readers left,
-// so accepting the job would drop it on the floor silently. Long-running
-// callers layering their own queue on top (the serve scheduler) rely on the
-// post-stop path being this loud.
+// so accepting the job would drop it on the floor silently.
 #pragma once
 
 #include <condition_variable>

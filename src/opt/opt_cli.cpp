@@ -16,173 +16,57 @@ bool parse_cli_q1024(const std::string& s, Ticks& out) {
   return out >= 1;
 }
 
+engine::CliFlag bracket_flag(std::string_view name, Ticks& q, const char* diagnostic) {
+  return {name, [&q, diagnostic](const std::string& v, std::string& error) {
+            if (parse_cli_q1024(v, q)) return true;
+            error = diagnostic;
+            return false;
+          }};
+}
+
 }  // namespace
 
 bool parse_optimize_args(const std::vector<std::string>& args, OptimizeCli& out,
-                         std::string& error) {
+                         std::string& error, const std::vector<engine::CliFlag>& extra) {
   OptimizeCli cli;
-  cli.spec.sweep.base.n_masters = 1;
-  cli.spec.sweep.base.streams_per_master = 5;
-  cli.spec.sweep.base.ttr = 3'000;
-  cli.spec.sweep.scenarios_per_point = 100;
-  cli.spec.sweep.policies = {engine::Policy::Fcfs, engine::Policy::Dm, engine::Policy::Edf};
-  engine::GridCliArgs grid;
+  OptimizeOptions& o = cli.spec.options;
+  std::vector<engine::CliFlag> flags = {
+      bracket_flag("--scale-lo", o.scale_lo_q, "--scale-lo needs a factor >= 1/1024"),
+      bracket_flag("--scale-hi", o.scale_hi_q, "--scale-hi needs a factor >= 1/1024"),
+      bracket_flag("--dratio-lo", o.dratio_lo_q, "--dratio-lo needs a ratio >= 1/1024"),
+      bracket_flag("--dratio-hi", o.dratio_hi_q, "--dratio-hi needs a ratio >= 1/1024"),
+      {"--ttr-cap",
+       [&o](const std::string& v, std::string& e) {
+         std::size_t count = 0;
+         if (!engine::parse_cli_count(v, count, 1'000'000'000'000'000ULL) || count == 0) {
+           e = "--ttr-cap needs a tick count >= 1";
+           return false;
+         }
+         o.ttr_cap = static_cast<Ticks>(count);
+         return true;
+       }},
+  };
+  flags.insert(flags.end(), extra.begin(), extra.end());
 
   const auto fail = [&](const std::string& msg) {
     error = msg;
     return false;
   };
-
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    const auto next = [&](std::string& v) {
-      if (i + 1 >= args.size()) return false;
-      v = args[++i];
-      return true;
-    };
-    std::string v;
-    std::size_t count = 0;
-    if (arg == "--scenarios") {
-      if (!next(v) || !engine::parse_cli_count(v, cli.spec.sweep.scenarios_per_point,
-                                               100'000'000) ||
-          cli.spec.sweep.scenarios_per_point == 0) {
-        return fail("--scenarios needs an integer in [1, 1e8]");
-      }
-    } else if (arg == "--masters") {
-      if (!next(v) || v.empty()) {
-        return fail("--masters needs a comma list of integers in [1, 4096]");
-      }
-      grid.masters = v;
-    } else if (arg == "--split") {
-      if (!next(v) || v.empty()) return fail("--split needs a comma list of weights");
-      grid.split = v;
-    } else if (arg == "--skew") {
-      if (!next(v) || v.empty()) return fail("--skew needs a number >= 0");
-      grid.skew = v;
-    } else if (arg == "--streams") {
-      if (!next(v) || !engine::parse_cli_count(v, cli.spec.sweep.base.streams_per_master, 4'096) ||
-          cli.spec.sweep.base.streams_per_master == 0) {
-        return fail("--streams needs an integer in [1, 4096]");
-      }
-    } else if (arg == "--u") {
-      if (!next(v) || v.empty()) {
-        return fail("--u needs LO:HI:STEPS with numeric LO/HI and integer STEPS");
-      }
-      grid.u = v;
-    } else if (arg == "--beta") {
-      if (!next(v) || v.empty()) {
-        return fail("--beta needs LO:HI:STEPS with numeric LO/HI and integer STEPS");
-      }
-      grid.beta = v;
-    } else if (arg == "--beta-lo") {
-      if (!next(v) || v.empty()) return fail("--beta-lo needs a number >= 0");
-      grid.beta_lo = v;
-    } else if (arg == "--beta-hi") {
-      if (!next(v) || v.empty()) return fail("--beta-hi needs a number >= 0");
-      grid.beta_hi = v;
-    } else if (arg == "--policies") {
-      if (!next(v) || !engine::parse_cli_policies(v, false, cli.spec.sweep.policies)) {
-        return fail("--policies needs a comma list drawn from fcfs,dm,edf,opa (no duplicates)");
-      }
-      for (const engine::Policy p : cli.spec.sweep.policies) {
-        if (!optimizable(p)) {
-          return fail(std::string("--policies: ") + std::string(engine::to_string(p)) +
-                      " has no per-policy verdict to optimize against");
-        }
-      }
-    } else if (arg == "--threads") {
-      if (!next(v) || !engine::parse_cli_count(v, count, 1'024)) {
-        return fail("--threads needs an integer in [0, 1024]");
-      }
-      cli.threads = static_cast<unsigned>(count);
-    } else if (arg == "--seed") {
-      if (!next(v) || !engine::parse_cli_count(v, count)) {
-        return fail("--seed needs a non-negative integer");
-      }
-      cli.spec.sweep.seed = count;
-    } else if (arg == "--ttr") {
-      if (!next(v) || !engine::parse_cli_count(v, count, 1'000'000'000'000'000ULL)) {
-        return fail("--ttr needs a tick count");
-      }
-      cli.spec.sweep.base.ttr = static_cast<Ticks>(count);
-    } else if (arg == "--method") {
-      if (!next(v)) return fail("--method needs paper|refined");
-      if (v == "paper") {
-        cli.spec.sweep.engine.method = profibus::TcycleMethod::PaperEq13;
-      } else if (v == "refined") {
-        cli.spec.sweep.engine.method = profibus::TcycleMethod::PerMasterRefined;
-      } else {
-        return fail("--method needs paper|refined");
-      }
-    } else if (arg == "--scale-lo") {
-      if (!next(v) || !parse_cli_q1024(v, cli.spec.options.scale_lo_q)) {
-        return fail("--scale-lo needs a factor >= 1/1024");
-      }
-    } else if (arg == "--scale-hi") {
-      if (!next(v) || !parse_cli_q1024(v, cli.spec.options.scale_hi_q)) {
-        return fail("--scale-hi needs a factor >= 1/1024");
-      }
-    } else if (arg == "--ttr-cap") {
-      if (!next(v) || !engine::parse_cli_count(v, count, 1'000'000'000'000'000ULL) || count == 0) {
-        return fail("--ttr-cap needs a tick count >= 1");
-      }
-      cli.spec.options.ttr_cap = static_cast<Ticks>(count);
-    } else if (arg == "--dratio-lo") {
-      if (!next(v) || !parse_cli_q1024(v, cli.spec.options.dratio_lo_q)) {
-        return fail("--dratio-lo needs a ratio >= 1/1024");
-      }
-    } else if (arg == "--dratio-hi") {
-      if (!next(v) || !parse_cli_q1024(v, cli.spec.options.dratio_hi_q)) {
-        return fail("--dratio-hi needs a ratio >= 1/1024");
-      }
-    } else if (arg == "--csv") {
-      if (!next(v) || v.empty()) return fail("--csv needs a file path");
-      cli.csv_path = v;
-    } else if (arg == "--json") {
-      if (!next(v) || v.empty()) return fail("--json needs a file path");
-      cli.json_path = v;
-    } else if (arg == "--cache") {
-      if (!next(v) || v.empty()) return fail("--cache needs a directory path");
-      cli.cache_dir = v;
-    } else if (arg == "--metrics") {
-      if (!next(v) || v.empty()) return fail("--metrics needs a file path");
-      cli.metrics_path = v;
-    } else if (arg == "--progress") {
-      cli.progress = true;
-    } else {
-      return fail("unknown optimize flag '" + arg + "'");
+  engine::SimSweepCli grid;
+  if (!engine::parse_sim_sweep_args(args, grid, error, /*simulable_only=*/false, flags)) {
+    return false;
+  }
+  for (const engine::Policy p : grid.spec.sweep.policies) {
+    if (!optimizable(p)) {
+      return fail(std::string("--policies: ") + std::string(engine::to_string(p)) +
+                  " has no per-policy verdict to optimize against");
     }
   }
+  if (o.scale_lo_q > o.scale_hi_q) return fail("--scale-lo must not exceed --scale-hi");
+  if (o.dratio_lo_q > o.dratio_hi_q) return fail("--dratio-lo must not exceed --dratio-hi");
 
-  if (cli.spec.options.scale_lo_q > cli.spec.options.scale_hi_q) {
-    return fail("--scale-lo must not exceed --scale-hi");
-  }
-  if (cli.spec.options.dratio_lo_q > cli.spec.options.dratio_hi_q) {
-    return fail("--dratio-lo must not exceed --dratio-hi");
-  }
-  if (!engine::expand_cli_grid(grid, cli.spec.sweep.base, cli.spec.sweep.points, error)) {
-    return false;
-  }
-  if (cli.spec.sweep.total_scenarios() > 100'000'000) {
-    return fail("sweep too large (" + std::to_string(cli.spec.sweep.total_scenarios()) +
-                " scenarios); shrink the grid axes or --scenarios");
-  }
-  // Fail doomed output destinations at parse time, not after the search.
-  if (!cli.csv_path.empty() && !engine::validate_cli_output_file(cli.csv_path, "--csv", error)) {
-    return false;
-  }
-  if (!cli.json_path.empty() &&
-      !engine::validate_cli_output_file(cli.json_path, "--json", error)) {
-    return false;
-  }
-  if (!cli.metrics_path.empty() &&
-      !engine::validate_cli_output_file(cli.metrics_path, "--metrics", error)) {
-    return false;
-  }
-  if (!cli.cache_dir.empty() &&
-      !engine::validate_cli_output_dir(cli.cache_dir, "--cache", error)) {
-    return false;
-  }
+  cli.spec.sweep = std::move(grid.spec.sweep);
+  static_cast<engine::SweepRunFlags&>(cli) = std::move(grid);
   out = std::move(cli);
   error.clear();
   return true;

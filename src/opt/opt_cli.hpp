@@ -1,45 +1,37 @@
 // opt_cli.hpp — argument parsing for the `profisched optimize` subcommand,
 // in the library (rather than the CLI translation unit) so the validation is
 // unit-testable: tests/opt/test_opt_cli.cpp feeds it the same argv slices
-// the tool does. Grid flags and scalar parsers are shared with every other
-// sweep-style subcommand via engine/detail/cli_parse.hpp.
+// the tool does. Only the search brackets are optimize's own; every other
+// flag goes through the shared grid table in engine/sim_cli.hpp.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "engine/detail/cli_parse.hpp"
+#include "engine/sim_cli.hpp"
 #include "opt/optimizer.hpp"
 
 namespace profisched::opt {
 
-/// Everything `profisched optimize` needs beyond the spec.
-struct OptimizeCli {
+/// Everything `profisched optimize` needs: the spec plus the run flags.
+struct OptimizeCli : engine::SweepRunFlags {
   OptimizeSpec spec;
-  unsigned threads = 0;  ///< 0 = auto
-  std::string csv_path;
-  std::string json_path;
-  std::string cache_dir;     ///< --cache DIR: persistent scenario-result cache
-  std::string metrics_path;  ///< --metrics FILE: metrics + run-manifest JSON sidecar
-  bool progress = false;     ///< --progress: stderr heartbeat while scenarios run
 };
 
 /// Parse the flags after `profisched optimize` into `out`. Returns true on
 /// success; on failure returns false with a one-line diagnostic in `error`
-/// (never throws). Accepted flags:
-///   --scenarios N  --masters N[,N,...]  --streams N
-///   --u LO:HI:STEPS  --beta LO:HI:STEPS  --beta-lo X  --beta-hi X
-///   --split w1,...,wK  --skew S
-///   --policies fcfs,dm,edf,opa  --threads N  --seed N  --ttr TICKS
-///   --method paper|refined
+/// (never throws). Accepted flags: the shared analysis grid table of
+/// engine::parse_sim_sweep_args (simulator flags rejected), with --policies
+/// restricted to the optimizable fcfs,dm,edf,opa, plus the search brackets
 ///   --scale-lo X  --scale-hi X     frame-scaling bracket (factors, e.g. 0.25)
 ///   --ttr-cap TICKS                upper bracket of the max-T_TR search
 ///   --dratio-lo X  --dratio-hi X   D/T-ratio bracket
-///   --csv FILE  --json FILE  --cache DIR  --metrics FILE  --progress
+/// and `extra` (the shard subcommand's own flags).
 /// Fractional bracket flags are rounded to the q/1024 fixed point the
 /// searches run in; bracket sanity (1 <= lo <= hi after rounding) is checked
 /// here so run_optimize never throws on CLI-built specs.
 [[nodiscard]] bool parse_optimize_args(const std::vector<std::string>& args, OptimizeCli& out,
-                                       std::string& error);
+                                       std::string& error,
+                                       const std::vector<engine::CliFlag>& extra = {});
 
 }  // namespace profisched::opt

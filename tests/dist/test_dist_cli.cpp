@@ -56,8 +56,8 @@ TEST(ShardCliParse, ModeAndSweepFlagsFlowThrough) {
 }
 
 TEST(ShardCliParse, SweepModeAdmitsAnalysisOnlyPolicies) {
-  // --mode after --policies must still relax the policy table (the shard
-  // flags are peeled in a first pass, so order cannot matter).
+  // --mode after --policies must still relax the policy table (--mode is
+  // read before the shared table runs, so order cannot matter).
   const ShardCli cli = shard_ok(
       {"--policies", "fcfs,opa,holistic", "--mode", "sweep", "--shard", "1/1", "--out", "s"});
   EXPECT_EQ(cli.shard.spec.sweep.policies.size(), 3u);
@@ -81,6 +81,39 @@ TEST(ShardCliParse, RejectsBadInvocations) {
   (void)shard_fail({"--shard", "1/1", "--out", "s", "--combined"});   // spelled --mode combined
   // Simulable-only policy table outside sweep mode.
   (void)shard_fail({"--mode", "simulate", "--policies", "opa", "--shard", "1/1", "--out", "s"});
+}
+
+TEST(ShardCliParse, AnalysisModeRejectsSimulatorFlagsByName) {
+  // An analysis shard carrying a sim half would not merge with a clean shard
+  // of the same sweep, and its manifest digest would differ from `sweep`'s.
+  const std::string error =
+      shard_fail({"--mode", "sweep", "--shard", "1/1", "--out", "a.shard", "--reps", "3",
+                  "--faults", "loss=0.5,recovery=100", "--lp"});
+  EXPECT_NE(error.find("--reps"), std::string::npos) << error;
+  for (const char* flag : {"--horizon", "--cycles", "--model", "--quantile"}) {
+    EXPECT_NE(shard_fail({"--shard", "1/1", "--out", "s", flag, "1"}).find(flag),
+              std::string::npos);
+  }
+  for (const char* flag : {"--lp", "--combined"}) {
+    EXPECT_NE(shard_fail({"--shard", "1/1", "--out", "s", flag}).find(flag), std::string::npos);
+  }
+  // Optimize mode shares the rule; simulate mode keeps the flags.
+  EXPECT_NE(shard_fail({"--mode", "optimize", "--shard", "1/1", "--out", "s", "--reps", "3"})
+                .find("--reps"),
+            std::string::npos);
+  EXPECT_EQ(shard_ok({"--mode", "simulate", "--shard", "1/1", "--out", "s", "--reps", "3", "--lp"})
+                .shard.spec.replications,
+            3u);
+}
+
+TEST(ShardCliParse, OptimizeModeTakesTheSearchBrackets) {
+  const ShardCli cli = shard_ok({"--mode", "optimize", "--shard", "2/2", "--out", "s",
+                                 "--scale-lo", "0.25", "--policies", "fcfs,opa"});
+  EXPECT_EQ(cli.shard.mode, SweepMode::Optimize);
+  EXPECT_EQ(cli.shard.optimize.scale_lo_q, 256);
+  EXPECT_EQ(cli.shard.spec.sweep.policies.size(), 2u);
+  (void)shard_fail({"--mode", "optimize", "--shard", "1/1", "--out", "s", "--policies", "token"});
+  (void)shard_fail({"--mode", "sweep", "--shard", "1/1", "--out", "s", "--scale-lo", "0.25"});
 }
 
 TEST(ShardCliParse, OutputDestinationsAreValidatedUpFront) {

@@ -1,5 +1,6 @@
-// Argument validation of the `profisched simulate` sweep mode — exactly what
-// the CLI feeds to parse_sim_sweep_args, exercised as a library call.
+// Argument validation of the shared grid flag table — exactly what the CLI
+// feeds to parse_sim_sweep_args for `simulate` and `sweep`, exercised as a
+// library call.
 #include "engine/sim_cli.hpp"
 
 #include <gtest/gtest.h>
@@ -196,6 +197,55 @@ TEST(SimCli, SimulableOnlyFalseAdmitsTheAnalysisPolicyTable) {
   EXPECT_EQ(cli.spec.sweep.policies[2], Policy::TokenRing);
   // Duplicates stay rejected whichever table is active.
   EXPECT_FALSE(parse_sim_sweep_args({"--policies", "opa,opa"}, cli, error, false));
+}
+
+TEST(SimCli, AnalysisTableRejectsEverySimulatorFlagByName) {
+  const std::vector<std::vector<std::string>> sim_only = {
+      {"--reps", "3"},     {"--horizon", "1000"}, {"--cycles", "2"},  {"--model", "frame"},
+      {"--quantile", "1"}, {"--faults", "loss=0.5,recovery=100"},     {"--lp"},
+      {"--combined"}};
+  for (const std::vector<std::string>& args : sim_only) {
+    SimSweepCli cli;
+    std::string error;
+    EXPECT_TRUE(parse_sim_sweep_args(args, cli, error, /*simulable_only=*/true)) << error;
+    EXPECT_FALSE(parse_sim_sweep_args(args, cli, error, /*simulable_only=*/false)) << args[0];
+    EXPECT_NE(error.find(args[0]), std::string::npos) << error;
+  }
+}
+
+TEST(SimCli, MethodSelectsTcycleComputationInEitherTable) {
+  EXPECT_EQ(parse_ok({"--method", "refined"}).spec.sweep.engine.method,
+            profibus::TcycleMethod::PerMasterRefined);
+  EXPECT_EQ(parse_ok({"--method", "paper"}).spec.sweep.engine.method,
+            profibus::TcycleMethod::PaperEq13);
+  SimSweepCli cli;
+  std::string error;
+  ASSERT_TRUE(parse_sim_sweep_args({"--method", "refined"}, cli, error, false)) << error;
+  EXPECT_EQ(cli.spec.sweep.engine.method, profibus::TcycleMethod::PerMasterRefined);
+  EXPECT_NE(parse_fail({"--method", "magic"}).find("--method"), std::string::npos);
+}
+
+TEST(SimCli, ExtraFlagsLayerOverTheTable) {
+  std::string seen;
+  const std::vector<CliFlag> extra = {{"--name", [&](const std::string& v, std::string& e) {
+                                         if (v.empty()) {
+                                           e = "--name needs a value";
+                                           return false;
+                                         }
+                                         seen = v;
+                                         return true;
+                                       }}};
+  SimSweepCli cli;
+  std::string error;
+  ASSERT_TRUE(parse_sim_sweep_args({"--scenarios", "3", "--name", "x"}, cli, error, true, extra))
+      << error;
+  EXPECT_EQ(seen, "x");
+  EXPECT_EQ(cli.spec.sweep.scenarios_per_point, 3u);
+  // A missing value reaches the flag as "", so its own diagnostic wins.
+  EXPECT_FALSE(parse_sim_sweep_args({"--name"}, cli, error, true, extra));
+  EXPECT_EQ(error, "--name needs a value");
+  // Without the layer the flag is unknown.
+  EXPECT_NE(parse_fail({"--name", "x"}).find("--name"), std::string::npos);
 }
 
 }  // namespace

@@ -85,6 +85,9 @@ TEST(OptCli, RejectsMalformedFlags) {
   (void)parse_fail({"--method", "magic"});
   (void)parse_fail({"--u", "0.9:0.1:5"});  // inverted grid
   (void)parse_fail({"--csv"});             // missing value
+  // The simulator flags of the shared table are not optimize's.
+  EXPECT_NE(parse_fail({"--reps", "2"}).find("--reps"), std::string::npos);
+  EXPECT_NE(parse_fail({"--faults", "loss=0.1"}).find("--faults"), std::string::npos);
 }
 
 TEST(OptCli, OutputDestinationsAreValidatedUpFront) {

@@ -1,93 +1,67 @@
-// profisched — command-line front end: analyze, simulate, or tune a network
+// profisched — command-line front end: analyze, simulate, or tune one network
 // described in an INI file (format: src/config/network_loader.hpp; examples
-// under configs/).
+// under configs/), or sweep many generated ones.
 //
 //   profisched analyze  <file> [--policy fcfs|dm|edf|opa|all]
 //   profisched simulate <file> [--policy fcfs|dm|edf] [--ms N] [--seed N]
 //                              [--histograms] [--trace N]
-//   profisched simulate [--scenarios N] [--reps N] [--masters N[,N,...]]
-//                       [--streams N] [--u LO:HI:STEPS] [--beta LO:HI:STEPS]
-//                       [--beta-lo X] [--beta-hi X] [--split w1,...,wK] [--skew S]
-//                       [--policies fcfs,dm,edf] [--threads N] [--seed N]
-//                       [--ttr TICKS] [--horizon TICKS] [--cycles X]
-//                       [--model worst|uniform|frame] [--lp]
-//                       [--faults loss=P,recovery=T,corrupt=P,retrans=N,
-//                                 churn=P,offline=T,burst=C] [--combined]
-//                       [--csv FILE] [--json FILE]
+//   profisched ttr      <file>
+//   profisched sweep    [GRID] [--policies fcfs,dm,edf,opa,token,holistic]
+//   profisched simulate [GRID] [--policies fcfs,dm,edf] [SIM]
 //     (no INI file: fan simulation runs over UUniFast-generated scenarios;
 //      --combined also analyses each scenario and emits joined rows. --faults
 //      injects token loss / frame corruption / ring churn / release bursts;
 //      combined runs then check the simulation against degraded-mode bounds.)
-//   profisched ttr      <file>
-//   profisched sweep    [--scenarios N] [--masters N[,N,...]] [--streams N]
-//                       [--u LO:HI:STEPS] [--beta LO:HI:STEPS] [--beta-lo X]
-//                       [--beta-hi X] [--split w1,...,wK] [--skew S]
-//                       [--policies fcfs,dm,edf,opa,token,holistic] [--threads N]
-//                       [--seed N] [--ttr TICKS] [--method paper|refined]
-//                       [--csv FILE] [--json FILE] [--cache DIR]
-//     (--u / --beta / --masters each expand to an axis; the sweep runs their
-//      full cross product. --split/--skew shape the per-master load division.)
-//   profisched optimize [--scenarios N] [--masters N[,N,...]] [--streams N]
-//                       [--u LO:HI:STEPS] [--beta LO:HI:STEPS] [--beta-lo X]
-//                       [--beta-hi X] [--split w1,...,wK] [--skew S]
-//                       [--policies fcfs,dm,edf,opa] [--threads N] [--seed N]
-//                       [--ttr TICKS] [--method paper|refined]
+//   profisched optimize [GRID] [--policies fcfs,dm,edf,opa]
 //                       [--scale-lo X] [--scale-hi X] [--ttr-cap TICKS]
 //                       [--dratio-lo X] [--dratio-hi X]
-//                       [--csv FILE] [--json FILE] [--cache DIR]
 //     (per scenario and policy, bisect the exact breakdown utilization, the
 //      largest schedulable T_TR, and the smallest sustainable D/T ratio;
 //      emits per-point distribution quantiles)
 //   profisched shard    --shard k/K --out FILE
 //                       [--mode sweep|simulate|combined|optimize]
-//                       [--cache DIR] [every sweep/simulate/optimize flag]
+//                       [the mode's subcommand flags, except --csv/--json]
 //     (runs shard k's contiguous slice of the sweep's N scenario ids —
 //      near-equal slices, the first N mod K shards one scenario larger
 //      (dist::ShardPlan::split) — and writes one artifact; K artifacts
 //      merge into the single-process result)
-//   profisched merge    [--csv FILE] [--json FILE] SHARD_FILE...
+//   profisched merge    [--csv FILE] [--json FILE] [--metrics FILE] SHARD_FILE...
 //     (validates that the artifacts tile the sweep exactly and emits output
 //      byte-identical to the equivalent single-process run)
-//   profisched serve    --socket PATH [--threads N] [--cache DIR]
-//                       [--metrics FILE]
-//     (resident sweep service: accepts framed jobs over an AF_UNIX socket,
-//      runs them one at a time as oversplit shard ranges through the same
-//      ranged runner + merge path, so served output files are byte-identical
-//      to the batch subcommands')
-//   profisched submit   --socket PATH [--mode sweep|simulate|combined|optimize]
-//                       [--priority N] [--oversplit K] [--wait]
-//                       [every matching sweep/optimize flag; --csv/--json/
-//                        --metrics name server-side destinations]
-//   profisched submit   --socket PATH --status | --cancel ID | --stats |
-//                       --shutdown
-//     (thin client: enqueue one job, or poke the daemon; --stats prints the
-//      daemon's metrics manifest JSON, --wait polls until the job settles)
 //
-// Every sweep-style subcommand additionally accepts --metrics FILE (write a
-// versioned metrics + run-manifest JSON sidecar, see obs/manifest.hpp) and
-// --progress (opt-in stderr heartbeat). Both are strictly out-of-band: the
-// primary CSV/JSON/artifact bytes are identical with or without them.
+// GRID, the flag table every sweep-style subcommand shares
+// (engine/sim_cli.hpp):
+//   [--scenarios N] [--masters N[,N,...]] [--streams N] [--u LO:HI:STEPS]
+//   [--beta LO:HI:STEPS] [--beta-lo X] [--beta-hi X] [--split w1,...,wK]
+//   [--skew S] [--threads N] [--seed N] [--ttr TICKS] [--method paper|refined]
+//   [--csv FILE] [--json FILE] [--cache DIR] [--metrics FILE] [--progress]
+//   (--u / --beta / --masters each expand to an axis; the sweep runs their
+//    full cross product. --split/--skew shape the per-master load division.
+//    --metrics writes a versioned metrics + run-manifest JSON sidecar, see
+//    obs/manifest.hpp; --progress is an opt-in stderr heartbeat. Both are
+//    strictly out-of-band: the CSV/JSON/artifact bytes are identical with or
+//    without them.)
+// SIM, the simulator flags only `simulate` and the simulate/combined shard
+// modes accept:
+//   [--reps N] [--horizon TICKS] [--cycles X] [--model worst|uniform|frame]
+//   [--quantile Q] [--lp] [--combined]
+//   [--faults loss=P,recovery=T,corrupt=P,retrans=N,churn=P,offline=T,burst=C]
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "config/network_cli.hpp"
 #include "config/network_loader.hpp"
 #include "dist/dist_cli.hpp"
 #include "dist/result_cache.hpp"
 #include "dist/shard.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/detail/hash.hpp"
-#include "engine/detail/serialize.hpp"
 #include "engine/sim_aggregate.hpp"
 #include "engine/sim_cli.hpp"
 #include "obs/manifest.hpp"
@@ -98,10 +72,6 @@
 #include "profibus/dispatching.hpp"
 #include "profibus/priority_assignment.hpp"
 #include "profibus/ttr_setting.hpp"
-#include "serve/client.hpp"
-#include "serve/protocol.hpp"
-#include "serve/serve_cli.hpp"
-#include "serve/server.hpp"
 #include "sim/network_sim.hpp"
 
 namespace {
@@ -116,47 +86,26 @@ int usage() {
                "  profisched analyze  <file.ini> [--policy fcfs|dm|edf|opa|all]\n"
                "  profisched simulate <file.ini> [--policy fcfs|dm|edf] [--ms N]\n"
                "                      [--seed N] [--histograms] [--trace N]\n"
-               "  profisched simulate [--scenarios N] [--reps N] [--masters N[,N,...]]\n"
-               "                      [--streams N] [--u LO:HI:STEPS] [--beta LO:HI:STEPS]\n"
-               "                      [--beta-lo X] [--beta-hi X] [--split w1,...,wK]\n"
-               "                      [--skew S] [--policies fcfs,dm,edf] [--threads N]\n"
-               "                      [--seed N] [--ttr TICKS] [--horizon TICKS] [--cycles X]\n"
-               "                      [--model worst|uniform|frame] [--quantile Q] [--lp]\n"
-               "                      [--faults loss=P,recovery=T,corrupt=P,retrans=N,\n"
-               "                                churn=P,offline=T,burst=C]\n"
-               "                      [--combined] [--csv FILE] [--json FILE] [--cache DIR]\n"
-               "                      [--metrics FILE] [--progress]\n"
                "  profisched ttr      <file.ini>\n"
-               "  profisched optimize [--scenarios N] [--masters N[,N,...]] [--streams N]\n"
-               "                      [--u LO:HI:STEPS] [--beta LO:HI:STEPS] [--beta-lo X]\n"
-               "                      [--beta-hi X] [--split w1,...,wK] [--skew S]\n"
-               "                      [--policies fcfs,dm,edf,opa] [--threads N] [--seed N]\n"
-               "                      [--ttr TICKS] [--method paper|refined]\n"
+               "  profisched sweep    [GRID] [--policies fcfs,dm,edf,opa,token,holistic]\n"
+               "  profisched simulate [GRID] [--policies fcfs,dm,edf] [SIM]\n"
+               "  profisched optimize [GRID] [--policies fcfs,dm,edf,opa]\n"
                "                      [--scale-lo X] [--scale-hi X] [--ttr-cap TICKS]\n"
                "                      [--dratio-lo X] [--dratio-hi X]\n"
-               "                      [--csv FILE] [--json FILE] [--cache DIR]\n"
-               "                      [--metrics FILE] [--progress]\n"
-               "  profisched sweep    [--scenarios N] [--masters N[,N,...]] [--streams N]\n"
-               "                      [--u LO:HI:STEPS] [--beta LO:HI:STEPS] [--beta-lo X]\n"
-               "                      [--beta-hi X] [--split w1,...,wK] [--skew S]\n"
-               "                      [--policies fcfs,dm,edf,opa,token,holistic]\n"
-               "                      [--threads N] [--seed N] [--ttr TICKS]\n"
-               "                      [--method paper|refined] [--csv FILE] [--json FILE]\n"
-               "                      [--cache DIR] [--metrics FILE] [--progress]\n"
                "  profisched shard    --shard k/K --out FILE\n"
                "                      [--mode sweep|simulate|combined|optimize]\n"
-               "                      [--cache DIR] [--metrics FILE] [--progress]\n"
-               "                      [sweep/simulate/optimize flags]\n"
+               "                      [the mode's subcommand flags, except --csv/--json]\n"
                "  profisched merge    [--csv FILE] [--json FILE] [--metrics FILE]\n"
                "                      SHARD_FILE...\n"
-               "  profisched serve    --socket PATH [--threads N] [--cache DIR]\n"
-               "                      [--metrics FILE]\n"
-               "  profisched submit   --socket PATH [--mode sweep|simulate|combined|\n"
-               "                      optimize] [--priority N] [--oversplit K] [--wait]\n"
-               "                      [sweep/optimize flags; --csv/--json/--metrics\n"
-               "                      name server-side destinations]\n"
-               "  profisched submit   --socket PATH --status | --cancel ID | --stats |\n"
-               "                      --shutdown\n");
+               "GRID:\n"
+               "  [--scenarios N] [--masters N[,N,...]] [--streams N] [--u LO:HI:STEPS]\n"
+               "  [--beta LO:HI:STEPS] [--beta-lo X] [--beta-hi X] [--split w1,...,wK]\n"
+               "  [--skew S] [--threads N] [--seed N] [--ttr TICKS] [--method paper|refined]\n"
+               "  [--csv FILE] [--json FILE] [--cache DIR] [--metrics FILE] [--progress]\n"
+               "SIM:\n"
+               "  [--reps N] [--horizon TICKS] [--cycles X] [--model worst|uniform|frame]\n"
+               "  [--quantile Q] [--lp] [--combined]\n"
+               "  [--faults loss=P,recovery=T,corrupt=P,retrans=N,churn=P,offline=T,burst=C]\n");
   return 2;
 }
 
@@ -218,25 +167,29 @@ int cmd_analyze(const LoadedNetwork& ln, const std::string& policy) {
   return rc;
 }
 
-int cmd_simulate(const LoadedNetwork& ln, const std::string& policy, Ticks milliseconds,
-                 std::uint64_t seed, bool histograms, std::size_t trace_events) {
+int cmd_simulate(const LoadedNetwork& ln, const config::NetworkCli& cli) {
   sim::SimConfig cfg;
   cfg.net = ln.net;
-  cfg.horizon = milliseconds * ln.ticks_per_ms;
-  cfg.seed = seed;
-  cfg.collect_histograms = histograms;
+  std::string error;
+  if (!cli.horizon(ln.ticks_per_ms, cfg.horizon, error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
+  cfg.seed = cli.seed;
+  cfg.collect_histograms = cli.histograms;
+  const std::string policy = cli.policy.empty() ? "fcfs" : cli.policy;
   if (policy == "dm") cfg.policy = ApPolicy::Dm;
   else if (policy == "edf") cfg.policy = ApPolicy::Edf;
   else if (policy == "fcfs") cfg.policy = ApPolicy::Fcfs;
   else return usage();
 
-  sim::Trace trace(trace_events == 0 ? 1 : trace_events);
-  if (trace_events > 0) cfg.trace = &trace;
+  sim::Trace trace(cli.trace_events == 0 ? 1 : cli.trace_events);
+  if (cli.trace_events > 0) cfg.trace = &trace;
 
   const sim::SimReport r = sim::simulate(cfg);
   std::printf("simulated %lld ms under %s (seed %llu): %llu events, %llu LP cycles\n",
-              static_cast<long long>(milliseconds), policy.c_str(),
-              static_cast<unsigned long long>(seed), static_cast<unsigned long long>(r.events),
+              static_cast<long long>(cli.milliseconds), policy.c_str(),
+              static_cast<unsigned long long>(cli.seed), static_cast<unsigned long long>(r.events),
               static_cast<unsigned long long>(r.lp_cycles_completed));
   for (std::size_t k = 0; k < ln.net.n_masters(); ++k) {
     std::printf("[%s] token visits=%llu max TRR=%.3f ms overruns=%llu late=%llu\n",
@@ -254,12 +207,12 @@ int cmd_simulate(const LoadedNetwork& ln, const std::string& policy, Ticks milli
                   s.mean_response() / static_cast<double>(ln.ticks_per_ms),
                   static_cast<unsigned long long>(s.deadline_misses),
                   static_cast<unsigned long long>(s.dropped));
-      if (histograms) {
+      if (cli.histograms) {
         std::printf("    hist: %s\n", r.response_hist[k][i].summary().c_str());
       }
     }
   }
-  if (trace_events > 0) {
+  if (cli.trace_events > 0) {
     std::printf("\n--- first %zu trace events ---\n%s", trace.events().size(),
                 trace.render().c_str());
   }
@@ -281,28 +234,35 @@ int cmd_ttr(const LoadedNetwork& ln) {
   return 1;
 }
 
-// The strict scalar parsers (full-string, bounded, negative/overflow-
-// rejecting) live in engine/detail/cli_parse.hpp so every sweep-style
-// subcommand (sweep, simulate, shard) shares one implementation and the
-// validation stays unit-tested.
-using engine::parse_cli_count;
-using engine::parse_cli_policies;
-
-/// Banner text for the masters dimension: the axis values ("1,8") when the
-/// points carry per-point ring sizes, else the single base count.
-std::string masters_banner(const workload::NetworkParams& base,
-                           const std::vector<engine::SweepPoint>& points) {
-  std::string axis;
-  std::size_t last = 0;
-  for (const engine::SweepPoint& pt : points) {
-    if (pt.n_masters != 0 && pt.n_masters != last) {
-      if (!axis.empty()) axis += ',';
-      axis += std::to_string(pt.n_masters);
-      last = pt.n_masters;
-    }
+/// `analyze|simulate|ttr <file.ini> [flags]`: one network from an INI file.
+int cmd_network(const std::string& command, const std::string& path,
+                const std::vector<std::string>& flags) {
+  config::NetworkCli cli;
+  std::string error;
+  if (!config::parse_network_args(flags, cli, error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return usage();
   }
-  return axis.empty() ? std::to_string(base.n_masters) : axis;
+  const LoadedNetwork ln = config::load_network_file(path);
+  std::printf("loaded %s: %zu masters, %zu streams, T_TR = %lld ticks\n", path.c_str(),
+              ln.net.n_masters(), ln.net.total_high_streams(), static_cast<long long>(ln.net.ttr));
+  if (command == "analyze") return cmd_analyze(ln, cli.policy.empty() ? "all" : cli.policy);
+  if (command == "simulate") return cmd_simulate(ln, cli);
+  if (command == "ttr") return cmd_ttr(ln);
+  return usage();
 }
+
+// ---------------------------------------------------------------------------
+// The sweep-style subcommands (sweep, simulate, optimize, shard, merge): one
+// driver takes each from parsed flags through run → aggregate → print →
+// write → manifest.
+
+/// One sweep-style invocation after its flags parse.
+struct Job : engine::SweepRunFlags {
+  const char* subcommand = "";
+  std::vector<std::string> argv;  ///< the subcommand's flags, for the manifest
+  dist::ShardSpec spec;
+};
 
 /// The sequential top-level command stages. These are the only `phase.*`
 /// series, so their totals sum to at most the command's wall time — the
@@ -329,15 +289,40 @@ std::int64_t arm_observability(const std::string& metrics_path, bool progress) {
   return metrics_path.empty() ? -1 : obs::now_ns();
 }
 
+std::unique_ptr<dist::ResultCache> open_cache(const std::string& dir) {
+  return dir.empty() ? nullptr : std::make_unique<dist::ResultCache>(dir);
+}
+
+/// The one cache summary the CLI prints, fed from the registry's record-
+/// level counters — the same `cache.*` series the --metrics sidecar carries,
+/// so the console line and the sidecar can never disagree (unlike the
+/// ResultCache's raw load statistics, they count an undecodable or
+/// mismatched entry as the recompute it was).
+void print_cache_line(const dist::ResultCache& cache) {
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  std::printf("result cache: %llu hits / %llu misses (%s)\n",
+              static_cast<unsigned long long>(snap.counter("cache.hits")),
+              static_cast<unsigned long long>(snap.counter("cache.misses")),
+              cache.dir().c_str());
+}
+
+bool write_output_file(const std::string& path, const std::string& content) {
+  std::ofstream os(path, std::ios::binary);
+  os << content;
+  os.flush();  // surface ENOSPC-style errors now, not in the destructor
+  if (os.good()) return true;
+  std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return false;
+}
+
 /// Builds and writes the --metrics sidecar. The config digest hashes the
 /// same canonical spec block `merge` compares byte-for-byte, so identical
 /// sweeps digest identically whether run whole, sharded, or merged.
-bool emit_manifest(const std::string& path, const char* subcommand, int argc, char** argv,
-                   const dist::ShardSpec& spec, std::uint64_t scenarios, unsigned threads,
-                   std::int64_t t0_ns) {
+bool emit_manifest(const Job& job, const dist::ShardSpec& spec, std::uint64_t scenarios,
+                   unsigned threads, std::int64_t t0_ns) {
   obs::Manifest m;
-  m.run.subcommand = subcommand;
-  m.run.argv.assign(argv, argv + argc);
+  m.run.subcommand = job.subcommand;
+  m.run.argv = job.argv;
   const std::string spec_text = dist::serialize_spec(spec);
   m.run.config_digest =
       engine::detail::Fnv1a64().bytes(spec_text.data(), spec_text.size()).digest();
@@ -348,442 +333,259 @@ bool emit_manifest(const std::string& path, const char* subcommand, int argc, ch
   m.run.threads = threads;
   m.run.elapsed_s = static_cast<double>(obs::now_ns() - t0_ns) / 1e9;
   m.metrics = obs::Registry::global().snapshot();
-  if (!obs::write_manifest_file(path, m)) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  if (!obs::write_manifest_file(job.metrics_path, m)) {
+    std::fprintf(stderr, "error: cannot write %s\n", job.metrics_path.c_str());
     return false;
   }
-  std::printf("wrote %s\n", path.c_str());
+  std::printf("wrote %s\n", job.metrics_path.c_str());
   return true;
 }
 
-/// The one cache summary the CLI prints, fed from the registry's record-
-/// level counters — the same `cache.*` series the --metrics sidecar carries,
-/// so the console line and the sidecar can never disagree.
-void print_cache_line(const dist::ResultCache& cache) {
-  const obs::Snapshot snap = obs::Registry::global().snapshot();
-  std::printf("result cache: %llu hits / %llu misses (%s)\n",
-              static_cast<unsigned long long>(snap.counter("cache.hits")),
-              static_cast<unsigned long long>(snap.counter("cache.misses")),
-              cache.dir().c_str());
-}
-
-int cmd_sweep(int argc, char** argv) {
-  engine::SweepSpec spec;
-  spec.base.n_masters = 1;
-  spec.base.streams_per_master = 5;
-  spec.base.ttr = 3'000;
-  spec.scenarios_per_point = 100;
-  spec.policies = {engine::Policy::Fcfs, engine::Policy::Dm, engine::Policy::Edf};
-  engine::GridCliArgs grid;
-  unsigned threads = 0;
-  std::string csv_path, json_path, cache_dir, metrics_path;
-  bool progress = false;
-
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    std::size_t count = 0;
-    if (arg == "--scenarios" && (v = next())) {
-      if (!parse_cli_count(v, spec.scenarios_per_point, 100'000'000) ||
-          spec.scenarios_per_point == 0) {
-        return usage();
-      }
-    // Grid flags demand a non-empty value: an unset shell variable must not
-    // silently fall back to the default grid (expand_cli_grid reads "" as
-    // flag-absent).
-    } else if (arg == "--masters" && (v = next()) && *v != '\0') {
-      grid.masters = v;
-    } else if (arg == "--split" && (v = next()) && *v != '\0') {
-      grid.split = v;
-    } else if (arg == "--skew" && (v = next()) && *v != '\0') {
-      grid.skew = v;
-    } else if (arg == "--streams" && (v = next())) {
-      if (!parse_cli_count(v, spec.base.streams_per_master, 4'096) ||
-          spec.base.streams_per_master == 0) {
-        return usage();
-      }
-    } else if (arg == "--u" && (v = next()) && *v != '\0') {
-      grid.u = v;
-    } else if (arg == "--beta" && (v = next()) && *v != '\0') {
-      grid.beta = v;
-    } else if (arg == "--beta-lo" && (v = next()) && *v != '\0') {
-      grid.beta_lo = v;
-    } else if (arg == "--beta-hi" && (v = next()) && *v != '\0') {
-      grid.beta_hi = v;
-    } else if (arg == "--policies" && (v = next())) {
-      if (!parse_cli_policies(v, /*simulable_only=*/false, spec.policies)) return usage();
-    } else if (arg == "--threads" && (v = next())) {
-      if (!parse_cli_count(v, count) || count > 1024) return usage();
-      threads = static_cast<unsigned>(count);
-    } else if (arg == "--seed" && (v = next())) {
-      if (!parse_cli_count(v, count)) return usage();
-      spec.seed = count;
-    } else if (arg == "--ttr" && (v = next())) {
-      if (!parse_cli_count(v, count, 1'000'000'000'000'000ULL)) return usage();
-      spec.base.ttr = static_cast<Ticks>(count);
-    } else if (arg == "--method" && (v = next())) {
-      if (std::strcmp(v, "paper") == 0) spec.engine.method = TcycleMethod::PaperEq13;
-      else if (std::strcmp(v, "refined") == 0) spec.engine.method = TcycleMethod::PerMasterRefined;
-      else return usage();
-    } else if (arg == "--csv" && (v = next())) {
-      csv_path = v;
-    } else if (arg == "--json" && (v = next())) {
-      json_path = v;
-    } else if (arg == "--cache" && (v = next())) {
-      cache_dir = v;
-    } else if (arg == "--metrics" && (v = next()) && *v != '\0') {
-      metrics_path = v;
-    } else if (arg == "--progress") {
-      progress = true;
-    } else {
-      return usage();
+/// Banner text for the masters dimension: the axis values ("1,8") when the
+/// points carry per-point ring sizes, else the single base count.
+std::string masters_banner(const engine::SweepSpec& sweep) {
+  std::string axis;
+  std::size_t last = 0;
+  for (const engine::SweepPoint& pt : sweep.points) {
+    if (pt.n_masters != 0 && pt.n_masters != last) {
+      if (!axis.empty()) axis += ',';
+      axis += std::to_string(pt.n_masters);
+      last = pt.n_masters;
     }
   }
-  // Doomed output destinations fail here, before a single scenario runs.
-  std::string path_error;
-  if ((!csv_path.empty() && !engine::validate_cli_output_file(csv_path, "--csv", path_error)) ||
-      (!json_path.empty() && !engine::validate_cli_output_file(json_path, "--json", path_error)) ||
-      (!metrics_path.empty() &&
-       !engine::validate_cli_output_file(metrics_path, "--metrics", path_error)) ||
-      (!cache_dir.empty() && !engine::validate_cli_output_dir(cache_dir, "--cache", path_error))) {
-    std::fprintf(stderr, "error: %s\n", path_error.c_str());
-    return 2;
-  }
-  const std::int64_t t0_ns = arm_observability(metrics_path, progress);
+  return axis.empty() ? std::to_string(sweep.base.n_masters) : axis;
+}
 
-  std::string grid_error;
-  if (!engine::expand_cli_grid(grid, spec.base, spec.points, grid_error)) {
-    std::fprintf(stderr, "error: %s\n", grid_error.c_str());
-    return usage();
+/// The first stdout line of a whole-sweep run: what it runs, and how wide.
+void print_banner(const Job& job, unsigned threads) {
+  const engine::SweepSpec& sweep = job.spec.spec.sweep;
+  std::string title = job.subcommand;
+  std::string reps;
+  if (job.spec.mode == dist::SweepMode::Sim || job.spec.mode == dist::SweepMode::Combined) {
+    title = job.spec.mode == dist::SweepMode::Combined ? "simulate sweep (combined with analysis)"
+                                                       : "simulate sweep";
+    const std::size_t n = job.spec.spec.replications;
+    reps = " x " + std::to_string(n) + (n == 1 ? " rep" : " reps");
   }
-  if (spec.total_scenarios() > 100'000'000) {
-    std::fprintf(stderr, "error: sweep too large (%zu scenarios); shrink the grid axes or "
-                         "--scenarios\n",
-                 spec.total_scenarios());
-    return 2;
-  }
-
-  engine::SweepRunner runner(threads);
-  std::printf("sweep: %zu scenarios (%zu points x %zu), %s masters x %zu streams, "
+  std::printf("%s: %zu scenarios (%zu points x %zu)%s, %s masters x %zu streams, "
               "%u thread%s, seed %llu\n",
-              spec.total_scenarios(), spec.points.size(), spec.scenarios_per_point,
-              masters_banner(spec.base, spec.points).c_str(), spec.base.streams_per_master,
-              runner.threads(), runner.threads() == 1 ? "" : "s",
-              static_cast<unsigned long long>(spec.seed));
-  std::unique_ptr<dist::ResultCache> cache;
-  if (!cache_dir.empty()) cache = std::make_unique<dist::ResultCache>(cache_dir);
-  obs::Span run_span(phase_metrics().run);
-  const engine::SweepResult result = runner.run(spec, cache.get());
-  run_span.stop();
-  obs::Span agg_span(phase_metrics().aggregate);
-  const engine::SweepCurves curves = engine::aggregate(spec, result);
-  agg_span.stop();
+              title.c_str(), sweep.total_scenarios(), sweep.points.size(),
+              sweep.scenarios_per_point, reps.c_str(), masters_banner(sweep).c_str(),
+              sweep.base.streams_per_master, threads, threads == 1 ? "" : "s",
+              static_cast<unsigned long long>(sweep.seed));
+}
 
+/// Per-point acceptance ratios, one column per policy (sweep and simulate).
+template <class Curves>
+void print_ratio_table(const Curves& curves) {
   std::printf("\n%-8s", "U");
   for (const std::string& p : curves.policies) std::printf(" %9s", p.c_str());
   std::printf("\n");
-  for (const engine::CurvePoint& pt : curves.points) {
+  for (const auto& pt : curves.points) {
     std::printf("%-8.3f", pt.total_u);
     for (std::size_t p = 0; p < curves.policies.size(); ++p) {
       std::printf(" %8.1f%%", 100.0 * pt.ratio(p));
     }
     std::printf("\n");
   }
-  std::printf("\n%zu scenarios in %.3f s (%.0f scenario-analyses/s); timing memo: "
-              "%zu hits / %zu misses\n",
-              result.outcomes.size(), result.elapsed_s,
-              static_cast<double>(result.outcomes.size() * spec.policies.size()) /
-                  (result.elapsed_s > 0 ? result.elapsed_s : 1.0),
-              result.memo_hits, result.memo_misses);
-  if (cache) print_cache_line(*cache);
+}
 
-  const auto write_file = [](const std::string& path, const std::string& content) {
-    std::ofstream os(path, std::ios::binary);
-    os << content;
-    os.flush();  // surface ENOSPC-style errors now, not in the destructor
-    return os.good();
+/// Per-point analysis-accept vs simulation-miss-free ratios side by side,
+/// bucketed in one pass over the outcomes (a per-point rescan would be
+/// O(points x scenarios) — hours on the biggest accepted grids).
+void print_combined_table(const engine::SimSweepSpec& spec, const engine::CombinedResult& result) {
+  const std::size_t n_pol = spec.sweep.policies.size();
+  const std::size_t n_pts = spec.sweep.points.size();
+  std::vector<std::size_t> accepted(n_pts * n_pol, 0), miss_free(n_pts * n_pol, 0),
+      scenarios(n_pts, 0);
+  for (const engine::CombinedOutcome& o : result.outcomes) {
+    ++scenarios[o.sim.point];
+    for (std::size_t p = 0; p < n_pol; ++p) {
+      if (o.analytic_schedulable[p]) ++accepted[o.sim.point * n_pol + p];
+      if (o.sim.misses[p] == 0 && o.sim.dropped[p] == 0) ++miss_free[o.sim.point * n_pol + p];
+    }
+  }
+  std::printf("\n%-8s", "U");
+  for (const engine::Policy p : spec.sweep.policies) {
+    std::printf(" %9s:an %9s:sim", std::string(to_string(p)).c_str(),
+                std::string(to_string(p)).c_str());
+  }
+  std::printf("\n");
+  for (std::size_t pt = 0; pt < n_pts; ++pt) {
+    const double n = scenarios[pt] == 0 ? 1.0 : static_cast<double>(scenarios[pt]);
+    std::printf("%-8.3f", spec.sweep.points[pt].total_u);
+    for (std::size_t p = 0; p < n_pol; ++p) {
+      std::printf(" %11.1f%% %12.1f%%", 100.0 * static_cast<double>(accepted[pt * n_pol + p]) / n,
+                  100.0 * static_cast<double>(miss_free[pt * n_pol + p]) / n);
+    }
+    std::printf("\n");
+  }
+}
+
+/// The back half of sweep, simulate, optimize and merge: reduce the result
+/// to its table (the one mode → reducer dispatch), print the console
+/// summary, write --csv/--json, then the --metrics manifest. A direct run
+/// prints the per-point table and timing line; a merge (`direct` false) has
+/// no timing to report and prints only the combined-mode verdict line.
+int report(const Job& job, const dist::MergedSweep& r, bool direct,
+           const dist::ResultCache* cache, unsigned threads, std::int64_t t0_ns) {
+  const auto write = [](const std::string& path, const std::string& content) {
+    if (!write_output_file(path, content)) return false;
+    std::printf("wrote %s\n", path.c_str());
+    return true;
   };
-  obs::Span write_span(phase_metrics().write);
-  if (!csv_path.empty()) {
-    if (!write_file(csv_path, curves.to_csv())) {
-      std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", csv_path.c_str());
-  }
-  if (!json_path.empty()) {
-    if (!write_file(json_path, curves.to_json())) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  write_span.stop();
-  if (!metrics_path.empty()) {
-    dist::ShardSpec ds;
-    ds.mode = dist::SweepMode::Analysis;
-    ds.spec.sweep = spec;
-    if (!emit_manifest(metrics_path, "sweep", argc, argv, ds, spec.total_scenarios(),
-                       runner.threads(), t0_ns)) {
-      return 1;
-    }
-  }
-  return 0;
-}
-
-bool write_output_file(const std::string& path, const std::string& content) {
-  std::ofstream os(path, std::ios::binary);
-  os << content;
-  os.flush();  // surface ENOSPC-style errors now, not in the destructor
-  return os.good();
-}
-
-int cmd_simulate_sweep(int argc, char** argv) {
-  engine::SimSweepCli cli;
-  std::string error;
-  if (!engine::parse_sim_sweep_args(std::vector<std::string>(argv, argv + argc), cli, error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return usage();
-  }
-  const std::int64_t t0_ns = arm_observability(cli.metrics_path, cli.progress);
-
-  engine::SweepRunner runner(cli.threads);
-  std::printf("simulate sweep%s: %zu scenarios (%zu points x %zu) x %zu rep%s, "
-              "%s masters x %zu streams, %u thread%s, seed %llu\n",
-              cli.combined ? " (combined with analysis)" : "",
-              cli.spec.sweep.total_scenarios(), cli.spec.sweep.points.size(),
-              cli.spec.sweep.scenarios_per_point, cli.spec.replications,
-              cli.spec.replications == 1 ? "" : "s",
-              masters_banner(cli.spec.sweep.base, cli.spec.sweep.points).c_str(),
-              cli.spec.sweep.base.streams_per_master, runner.threads(),
-              runner.threads() == 1 ? "" : "s",
-              static_cast<unsigned long long>(cli.spec.sweep.seed));
-  std::unique_ptr<dist::ResultCache> cache;
-  if (!cli.cache_dir.empty()) cache = std::make_unique<dist::ResultCache>(cli.cache_dir);
-
-  if (cli.combined) {
-    obs::Span run_span(phase_metrics().run);
-    const engine::CombinedResult result = runner.run_combined(cli.spec, cache.get());
-    run_span.stop();
-    obs::Span agg_span(phase_metrics().aggregate);
-    const engine::ConsistencyTable table = engine::consistency_table(cli.spec, result);
-    agg_span.stop();
-
-    // Per-point analysis-accept vs simulation-miss-free ratios side by side,
-    // bucketed in one pass over the outcomes (a per-point rescan would be
-    // O(points x scenarios) — hours on the biggest accepted grids).
-    const std::size_t n_pol = cli.spec.sweep.policies.size();
-    const std::size_t n_pts = cli.spec.sweep.points.size();
-    std::vector<std::size_t> accepted(n_pts * n_pol, 0), miss_free(n_pts * n_pol, 0),
-        scenarios(n_pts, 0);
-    for (const engine::CombinedOutcome& o : result.outcomes) {
-      ++scenarios[o.sim.point];
-      for (std::size_t p = 0; p < n_pol; ++p) {
-        if (o.analytic_schedulable[p]) ++accepted[o.sim.point * n_pol + p];
-        if (o.sim.misses[p] == 0 && o.sim.dropped[p] == 0) {
-          ++miss_free[o.sim.point * n_pol + p];
-        }
-      }
-    }
-    std::printf("\n%-8s", "U");
-    for (const engine::Policy p : cli.spec.sweep.policies) {
-      std::printf(" %9s:an %9s:sim", std::string(to_string(p)).c_str(),
-                  std::string(to_string(p)).c_str());
-    }
-    std::printf("\n");
-    for (std::size_t pt = 0; pt < n_pts; ++pt) {
-      const double n = scenarios[pt] == 0 ? 1.0 : static_cast<double>(scenarios[pt]);
-      std::printf("%-8.3f", cli.spec.sweep.points[pt].total_u);
-      for (std::size_t p = 0; p < n_pol; ++p) {
-        std::printf(" %11.1f%% %12.1f%%",
-                    100.0 * static_cast<double>(accepted[pt * n_pol + p]) / n,
-                    100.0 * static_cast<double>(miss_free[pt * n_pol + p]) / n);
-      }
-      std::printf("\n");
-    }
-
-    double max_pessimism = 0.0;
-    for (const engine::ConsistencyRow& r : table.rows) {
-      max_pessimism = std::max(max_pessimism, r.pessimism());
-    }
-    std::printf("\n%zu joined rows in %.3f s; bound violations: %llu; "
-                "analysis-accepts-but-sim-misses: %zu; max pessimism %.3f\n",
-                table.rows.size(), result.elapsed_s,
-                static_cast<unsigned long long>(result.total_bound_violations()),
-                table.accept_but_miss_count(), max_pessimism);
+  // Serialize lazily: a multi-million-row combined merge should not pay for
+  // (or hold in memory) a JSON string nobody asked for.
+  const auto emit = [&](const auto& table, int rc) {
     if (cache) print_cache_line(*cache);
-
     obs::Span write_span(phase_metrics().write);
-    if (!cli.csv_path.empty()) {
-      if (!write_output_file(cli.csv_path, table.to_csv())) {
-        std::fprintf(stderr, "error: cannot write %s\n", cli.csv_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", cli.csv_path.c_str());
-    }
-    if (!cli.json_path.empty()) {
-      if (!write_output_file(cli.json_path, table.to_json())) {
-        std::fprintf(stderr, "error: cannot write %s\n", cli.json_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", cli.json_path.c_str());
-    }
+    if (!job.csv_path.empty() && !write(job.csv_path, table.to_csv())) return 1;
+    if (!job.json_path.empty() && !write(job.json_path, table.to_json())) return 1;
     write_span.stop();
-    if (!cli.metrics_path.empty()) {
-      dist::ShardSpec ds;
-      ds.mode = dist::SweepMode::Combined;
-      ds.spec = cli.spec;
-      if (!emit_manifest(cli.metrics_path, "simulate", argc, argv, ds,
-                         cli.spec.sweep.total_scenarios(), runner.threads(), t0_ns)) {
-        return 1;
-      }
+    if (!job.metrics_path.empty() &&
+        !emit_manifest(job, r.spec, r.spec.total_scenarios(), threads, t0_ns)) {
+      return 1;
     }
-    // A consistency violation falsifies the corresponding analysis — make the
-    // run fail loudly so CI catches it.
-    return (table.accept_but_miss_count() > 0 || result.total_bound_violations() > 0) ? 1 : 0;
-  }
-
-  obs::Span run_span(phase_metrics().run);
-  const engine::SimSweepResult result = runner.run_sim(cli.spec, cache.get());
-  run_span.stop();
+    return rc;
+  };
+  const engine::SimSweepSpec& spec = r.spec.spec;
+  const double elapsed = r.stats().elapsed_s > 0 ? r.stats().elapsed_s : 1.0;
   obs::Span agg_span(phase_metrics().aggregate);
-  const engine::SimCurves curves = engine::aggregate_sim(cli.spec, result);
-  agg_span.stop();
-
-  std::printf("\n%-8s", "U");
-  for (const std::string& p : curves.policies) std::printf(" %9s", p.c_str());
-  std::printf("\n");
-  for (const engine::SimCurvePoint& pt : curves.points) {
-    std::printf("%-8.3f", pt.total_u);
-    for (std::size_t p = 0; p < curves.policies.size(); ++p) {
-      std::printf(" %8.1f%%", 100.0 * pt.ratio(p));
+  switch (r.spec.mode) {
+    case dist::SweepMode::Analysis: {
+      const engine::SweepCurves curves = engine::aggregate(spec.sweep, r.analysis);
+      agg_span.stop();
+      if (direct) {
+        print_ratio_table(curves);
+        std::printf("\n%zu scenarios in %.3f s (%.0f scenario-analyses/s); timing memo: "
+                    "%zu hits / %zu misses\n",
+                    r.analysis.outcomes.size(), r.analysis.elapsed_s,
+                    static_cast<double>(r.analysis.outcomes.size() * spec.sweep.policies.size()) /
+                        elapsed,
+                    r.analysis.memo_hits, r.analysis.memo_misses);
+      }
+      return emit(curves, 0);
     }
-    std::printf("\n");
-  }
-  std::printf("\n%zu scenarios x %zu reps in %.3f s (%.0f sim-runs/s)\n",
-              result.outcomes.size(), cli.spec.replications, result.elapsed_s,
-              static_cast<double>(result.outcomes.size() * cli.spec.sweep.policies.size() *
-                                  cli.spec.replications) /
-                  (result.elapsed_s > 0 ? result.elapsed_s : 1.0));
-  if (cache) print_cache_line(*cache);
-
-  obs::Span write_span(phase_metrics().write);
-  if (!cli.csv_path.empty()) {
-    if (!write_output_file(cli.csv_path, curves.to_csv())) {
-      std::fprintf(stderr, "error: cannot write %s\n", cli.csv_path.c_str());
-      return 1;
+    case dist::SweepMode::Sim: {
+      const engine::SimCurves curves = engine::aggregate_sim(spec, r.sim);
+      agg_span.stop();
+      if (direct) {
+        print_ratio_table(curves);
+        std::printf("\n%zu scenarios x %zu reps in %.3f s (%.0f sim-runs/s)\n",
+                    r.sim.outcomes.size(), spec.replications, r.sim.elapsed_s,
+                    static_cast<double>(r.sim.outcomes.size() * spec.sweep.policies.size() *
+                                        spec.replications) /
+                        elapsed);
+      }
+      return emit(curves, 0);
     }
-    std::printf("wrote %s\n", cli.csv_path.c_str());
-  }
-  if (!cli.json_path.empty()) {
-    if (!write_output_file(cli.json_path, curves.to_json())) {
-      std::fprintf(stderr, "error: cannot write %s\n", cli.json_path.c_str());
-      return 1;
+    case dist::SweepMode::Combined: {
+      const engine::ConsistencyTable table = engine::consistency_table(spec, r.combined);
+      agg_span.stop();
+      if (direct) {
+        print_combined_table(spec, r.combined);
+        double max_pessimism = 0.0;
+        for (const engine::ConsistencyRow& row : table.rows) {
+          max_pessimism = std::max(max_pessimism, row.pessimism());
+        }
+        std::printf("\n%zu joined rows in %.3f s; bound violations: %llu; "
+                    "analysis-accepts-but-sim-misses: %zu; max pessimism %.3f\n",
+                    table.rows.size(), r.combined.elapsed_s,
+                    static_cast<unsigned long long>(table.total_bound_violations()),
+                    table.accept_but_miss_count(), max_pessimism);
+      } else {
+        std::printf("bound violations: %llu; analysis-accepts-but-sim-misses: %zu\n",
+                    static_cast<unsigned long long>(table.total_bound_violations()),
+                    table.accept_but_miss_count());
+      }
+      // A consistency violation falsifies the corresponding analysis — make
+      // the run fail loudly so CI catches it.
+      return emit(table,
+                  table.accept_but_miss_count() > 0 || table.total_bound_violations() > 0 ? 1 : 0);
     }
-    std::printf("wrote %s\n", cli.json_path.c_str());
-  }
-  write_span.stop();
-  if (!cli.metrics_path.empty()) {
-    dist::ShardSpec ds;
-    ds.mode = dist::SweepMode::Sim;
-    ds.spec = cli.spec;
-    if (!emit_manifest(cli.metrics_path, "simulate", argc, argv, ds,
-                       cli.spec.sweep.total_scenarios(), runner.threads(), t0_ns)) {
-      return 1;
+    case dist::SweepMode::Optimize: {
+      const opt::OptimizeTable table =
+          opt::aggregate_optimize(opt::OptimizeSpec{spec.sweep, r.spec.optimize}, r.optimize);
+      agg_span.stop();
+      if (direct) {
+        // Median breakdown utilization per policy — the headline synthesis
+        // answer; the full distributions go to --csv/--json.
+        std::printf("\n%-8s", "U");
+        for (const std::string& p : table.policies) std::printf(" %12s", (p + ":bu").c_str());
+        std::printf("\n");
+        for (const opt::OptimizePoint& pt : table.points) {
+          std::printf("%-8.3f", pt.total_u);
+          for (std::size_t p = 0; p < table.policies.size(); ++p) {
+            std::printf(" %12.3f", pt.stats[p].breakdown_u_p50);
+          }
+          std::printf("\n");
+        }
+        std::printf("\n%zu scenarios x %zu policies in %.3f s (3 bisections each)\n",
+                    r.optimize.outcomes.size(), spec.sweep.policies.size(),
+                    r.optimize.elapsed_s);
+      }
+      return emit(table, 0);
     }
   }
-  return 0;
+  return 1;
 }
 
-int cmd_optimize(int argc, char** argv) {
-  opt::OptimizeCli cli;
+/// `sweep`, `simulate` (no INI file) and `optimize`: the whole sweep in this
+/// process.
+int cmd_run(const std::string& command, const std::vector<std::string>& args) {
+  Job job;
+  job.argv = args;
   std::string error;
-  if (!opt::parse_optimize_args(std::vector<std::string>(argv, argv + argc), cli, error)) {
+  bool ok = false;
+  if (command == "optimize") {
+    opt::OptimizeCli cli;
+    ok = opt::parse_optimize_args(args, cli, error);
+    job.subcommand = "optimize";
+    job.spec.mode = dist::SweepMode::Optimize;
+    job.spec.spec.sweep = std::move(cli.spec.sweep);
+    job.spec.optimize = cli.spec.options;
+    static_cast<engine::SweepRunFlags&>(job) = std::move(cli);
+  } else {
+    engine::SimSweepCli cli;
+    ok = engine::parse_sim_sweep_args(args, cli, error, /*simulable_only=*/command == "simulate");
+    job.subcommand = command == "sweep" ? "sweep" : "simulate";
+    job.spec.mode = command == "sweep" ? dist::SweepMode::Analysis
+                    : cli.combined     ? dist::SweepMode::Combined
+                                       : dist::SweepMode::Sim;
+    job.spec.spec = std::move(cli.spec);
+    static_cast<engine::SweepRunFlags&>(job) = std::move(cli);
+  }
+  if (!ok) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return usage();
   }
-  const std::int64_t t0_ns = arm_observability(cli.metrics_path, cli.progress);
+  const std::int64_t t0_ns = arm_observability(job.metrics_path, job.progress);
 
-  engine::SweepRunner runner(cli.threads);
-  std::printf("optimize: %zu scenarios (%zu points x %zu), %s masters x %zu streams, "
-              "%u thread%s, seed %llu\n",
-              cli.spec.sweep.total_scenarios(), cli.spec.sweep.points.size(),
-              cli.spec.sweep.scenarios_per_point,
-              masters_banner(cli.spec.sweep.base, cli.spec.sweep.points).c_str(),
-              cli.spec.sweep.base.streams_per_master, runner.threads(),
-              runner.threads() == 1 ? "" : "s",
-              static_cast<unsigned long long>(cli.spec.sweep.seed));
-  std::unique_ptr<dist::ResultCache> cache;
-  if (!cli.cache_dir.empty()) cache = std::make_unique<dist::ResultCache>(cli.cache_dir);
+  engine::SweepRunner runner(job.threads);
+  print_banner(job, runner.threads());
+  const std::unique_ptr<dist::ResultCache> cache = open_cache(job.cache_dir);
   obs::Span run_span(phase_metrics().run);
-  const opt::OptimizeResult result = opt::run_optimize(runner, cli.spec, cache.get());
+  const dist::MergedSweep result = dist::run_sweep(
+      runner, job.spec, engine::IdRange{0, job.spec.total_scenarios()}, cache.get());
   run_span.stop();
-  obs::Span agg_span(phase_metrics().aggregate);
-  const opt::OptimizeTable table = opt::aggregate_optimize(cli.spec, result);
-  agg_span.stop();
-
-  // Median breakdown utilization per policy — the headline synthesis answer;
-  // the full distributions go to --csv/--json.
-  std::printf("\n%-8s", "U");
-  for (const std::string& p : table.policies) std::printf(" %12s", (p + ":bu").c_str());
-  std::printf("\n");
-  for (const opt::OptimizePoint& pt : table.points) {
-    std::printf("%-8.3f", pt.total_u);
-    for (std::size_t p = 0; p < table.policies.size(); ++p) {
-      std::printf(" %12.3f", pt.stats[p].breakdown_u_p50);
-    }
-    std::printf("\n");
-  }
-  std::printf("\n%zu scenarios x %zu policies in %.3f s (3 bisections each)\n",
-              result.outcomes.size(), cli.spec.sweep.policies.size(), result.elapsed_s);
-  if (cache) print_cache_line(*cache);
-
-  obs::Span write_span(phase_metrics().write);
-  if (!cli.csv_path.empty()) {
-    if (!write_output_file(cli.csv_path, table.to_csv())) {
-      std::fprintf(stderr, "error: cannot write %s\n", cli.csv_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", cli.csv_path.c_str());
-  }
-  if (!cli.json_path.empty()) {
-    if (!write_output_file(cli.json_path, table.to_json())) {
-      std::fprintf(stderr, "error: cannot write %s\n", cli.json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", cli.json_path.c_str());
-  }
-  write_span.stop();
-  if (!cli.metrics_path.empty()) {
-    dist::ShardSpec ds;
-    ds.mode = dist::SweepMode::Optimize;
-    ds.spec.sweep = cli.spec.sweep;
-    ds.optimize = cli.spec.options;
-    if (!emit_manifest(cli.metrics_path, "optimize", argc, argv, ds,
-                       cli.spec.sweep.total_scenarios(), runner.threads(), t0_ns)) {
-      return 1;
-    }
-  }
-  return 0;
+  return report(job, result, /*direct=*/true, cache.get(), runner.threads(), t0_ns);
 }
 
-int cmd_shard(int argc, char** argv) {
+int cmd_shard(const std::vector<std::string>& args) {
   dist::ShardCli cli;
   std::string error;
-  if (!dist::parse_shard_args(std::vector<std::string>(argv, argv + argc), cli, error)) {
+  if (!dist::parse_shard_args(args, cli, error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return usage();
   }
+  Job job;
+  job.subcommand = "shard";
+  job.argv = args;
+  job.metrics_path = cli.metrics_path;
   const std::int64_t t0_ns = arm_observability(cli.metrics_path, cli.progress);
 
   dist::ShardRunner runner(cli.threads);
-  std::unique_ptr<dist::ResultCache> cache;
-  if (!cli.cache_dir.empty()) cache = std::make_unique<dist::ResultCache>(cli.cache_dir);
-
+  const std::unique_ptr<dist::ResultCache> cache = open_cache(cli.cache_dir);
   std::printf("shard %llu/%llu (%s mode): %llu scenarios total, %u thread%s, seed %llu\n",
               static_cast<unsigned long long>(cli.index + 1),
               static_cast<unsigned long long>(cli.count),
@@ -796,36 +598,34 @@ int cmd_shard(int argc, char** argv) {
   const dist::ShardArtifact artifact = runner.run(cli.shard, cli.index, cli.count, cache.get());
   run_span.stop();
   obs::Span write_span(phase_metrics().write);
-  if (!write_output_file(cli.out_path, artifact.to_text())) {
-    std::fprintf(stderr, "error: cannot write %s\n", cli.out_path.c_str());
-    return 1;
-  }
+  if (!write_output_file(cli.out_path, artifact.to_text())) return 1;
   write_span.stop();
-  // Registry-fed like every other subcommand: the record-level cache.*
-  // counters — unlike the ResultCache's raw load statistics — count an
-  // undecodable or mismatched entry as the recompute it was.
   if (cache) print_cache_line(*cache);
   // The range comes from the artifact itself, so what we report is exactly
   // what a merge will validate — not a second ShardPlan computation.
   std::printf("wrote %s (scenarios [%llu, %llu))\n", cli.out_path.c_str(),
               static_cast<unsigned long long>(artifact.range.begin),
               static_cast<unsigned long long>(artifact.range.end));
-  if (!cli.metrics_path.empty()) {
-    if (!emit_manifest(cli.metrics_path, "shard", argc, argv, cli.shard,
-                       artifact.range.size(), runner.threads(), t0_ns)) {
-      return 1;
-    }
+  if (!cli.metrics_path.empty() &&
+      !emit_manifest(job, cli.shard, artifact.range.size(), runner.threads(), t0_ns)) {
+    return 1;
   }
   return 0;
 }
 
-int cmd_merge(int argc, char** argv) {
+int cmd_merge(const std::vector<std::string>& args) {
   dist::MergeCli cli;
   std::string error;
-  if (!dist::parse_merge_args(std::vector<std::string>(argv, argv + argc), cli, error)) {
+  if (!dist::parse_merge_args(args, cli, error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return usage();
   }
+  Job job;
+  job.subcommand = "merge";
+  job.argv = args;
+  job.csv_path = cli.csv_path;
+  job.json_path = cli.json_path;
+  job.metrics_path = cli.metrics_path;
   const std::int64_t t0_ns = arm_observability(cli.metrics_path, /*progress=*/false);
 
   obs::Span run_span(phase_metrics().run);
@@ -841,300 +641,34 @@ int cmd_merge(int argc, char** argv) {
     text << is.rdbuf();
     artifacts.push_back(dist::ShardArtifact::from_text(text.str()));
   }
-
   const dist::MergedSweep merged = dist::merge_shards(artifacts);
   run_span.stop();
-  const engine::SimSweepSpec& spec = merged.spec.spec;
   std::printf("merged %zu shard%s: %llu scenarios (%s mode)\n", artifacts.size(),
               artifacts.size() == 1 ? "" : "s",
               static_cast<unsigned long long>(merged.spec.total_scenarios()),
               std::string(dist::to_string(merged.spec.mode)).c_str());
-
-  // Serialize lazily: a multi-million-row combined merge should not pay for
-  // (or hold in memory) a JSON string nobody asked for.
-  const auto emit = [&](const std::string& path, const std::string& content) {
-    if (!write_output_file(path, content)) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-  };
-  const auto emit_both = [&](const auto& serializable) {
-    const obs::Span write_span(phase_metrics().write);
-    if (!cli.csv_path.empty() && !emit(cli.csv_path, serializable.to_csv())) return 1;
-    if (!cli.json_path.empty() && !emit(cli.json_path, serializable.to_json())) return 1;
-    return 0;
-  };
-  int rc = 0;
-  switch (merged.spec.mode) {
-    case dist::SweepMode::Analysis:
-      rc = emit_both(engine::aggregate(spec.sweep, merged.analysis));
-      break;
-    case dist::SweepMode::Sim:
-      rc = emit_both(engine::aggregate_sim(spec, merged.sim));
-      break;
-    case dist::SweepMode::Combined: {
-      const engine::ConsistencyTable table = engine::consistency_table(spec, merged.combined);
-      std::printf("bound violations: %llu; analysis-accepts-but-sim-misses: %zu\n",
-                  static_cast<unsigned long long>(table.total_bound_violations()),
-                  table.accept_but_miss_count());
-      rc = emit_both(table);
-      // Same contract as `simulate --combined`: a consistency violation
-      // falsifies the corresponding analysis, so the merge fails loudly too.
-      if (rc == 0 &&
-          (table.accept_but_miss_count() > 0 || table.total_bound_violations() > 0)) {
-        rc = 1;
-      }
-      break;
-    }
-    case dist::SweepMode::Optimize:
-      rc = emit_both(opt::aggregate_optimize(
-          opt::OptimizeSpec{spec.sweep, merged.spec.optimize}, merged.optimize));
-      break;
-  }
-  if (!cli.metrics_path.empty()) {
-    if (!emit_manifest(cli.metrics_path, "merge", argc, argv, merged.spec,
-                       merged.spec.total_scenarios(), /*threads=*/1, t0_ns)) {
-      return 1;
-    }
-  }
-  return rc;
+  return report(job, merged, /*direct=*/false, /*cache=*/nullptr, /*threads=*/1, t0_ns);
 }
 
-int cmd_serve(int argc, char** argv) {
-  serve::ServeCli cli;
-  std::string error;
-  if (!serve::parse_serve_args(std::vector<std::string>(argv, argv + argc), cli, error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return usage();
-  }
-  serve::ServeOptions opts;
-  opts.socket_path = cli.socket_path;
-  opts.threads = cli.threads;
-  opts.cache_dir = cli.cache_dir;
-  opts.argv.assign(argv, argv + argc);
-  serve::Server server(std::move(opts));
-  std::printf("serve: listening on %s\n", cli.socket_path.c_str());
-  std::fflush(stdout);  // the CI smoke job greps this line for readiness
-  const std::uint64_t done = server.run();
-  std::printf("serve: shutdown after %llu completed job%s\n",
-              static_cast<unsigned long long>(done), done == 1 ? "" : "s");
-  if (!cli.metrics_path.empty()) {
-    if (!obs::write_manifest_file(cli.metrics_path, server.stats_manifest())) {
-      std::fprintf(stderr, "error: cannot write %s\n", cli.metrics_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", cli.metrics_path.c_str());
-  }
-  return 0;
-}
-
-/// Find our job's line in an `ok jobs N` STATUS payload; empty when missing.
-std::string status_line_for(const std::string& payload, std::uint64_t id) {
-  const std::string needle = "job " + std::to_string(id) + ' ';
-  std::size_t pos = payload.find('\n');
-  while (pos != std::string::npos) {
-    const std::size_t start = pos + 1;
-    std::size_t end = payload.find('\n', start);
-    const std::string line =
-        payload.substr(start, end == std::string::npos ? end : end - start);
-    if (line.rfind(needle, 0) == 0) return line;
-    pos = end;
-  }
-  return {};
-}
-
-int cmd_submit(int argc, char** argv) {
-  serve::SubmitCli cli;
-  std::string error;
-  if (!serve::parse_submit_args(std::vector<std::string>(argv, argv + argc), cli, error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return usage();
-  }
-  const serve::Client client(cli.socket_path);
-  // The daemon may still be binding when CI fires the first submit; retry
-  // the connect briefly instead of making every caller script a sleep.
-  constexpr int kConnectRetryMs = 5'000;
-  const auto call_ok = [&](const std::string& payload, std::string& response) {
-    response = client.call(payload, kConnectRetryMs);
-    if (response.rfind("err ", 0) == 0 || response == "err") {
-      std::fprintf(stderr, "error: server: %s\n",
-                   response.size() > 4 ? response.c_str() + 4 : "(no detail)");
-      return false;
-    }
-    return true;
-  };
-
-  std::string response;
-  switch (cli.action) {
-    case serve::SubmitCli::Action::Status:
-      if (!call_ok(serve::format_status(), response)) return 1;
-      std::printf("%s\n", response.c_str());
-      return 0;
-    case serve::SubmitCli::Action::Cancel:
-      if (!call_ok(serve::format_cancel(cli.cancel_id), response)) return 1;
-      std::printf("%s\n", response.c_str());
-      return 0;
-    case serve::SubmitCli::Action::Stats: {
-      if (!call_ok(serve::format_stats(), response)) return 1;
-      // Payload is `ok stats\n<json>`; print only the JSON so the output
-      // pipes straight into tools/metrics_check.py.
-      const std::size_t nl = response.find('\n');
-      std::printf("%s\n", nl == std::string::npos ? "" : response.c_str() + nl + 1);
-      return 0;
-    }
-    case serve::SubmitCli::Action::Shutdown:
-      if (!call_ok(serve::format_shutdown(), response)) return 1;
-      std::printf("%s\n", response.c_str());
-      return 0;
-    case serve::SubmitCli::Action::Submit:
-      break;
-  }
-
-  if (!call_ok(serve::format_submit(cli.job), response)) return 1;
-  std::size_t id = 0;
-  if (response.rfind("ok id ", 0) != 0 ||
-      !engine::parse_cli_count(response.substr(6), id, std::numeric_limits<std::size_t>::max() / 2)) {
-    std::fprintf(stderr, "error: unexpected submit response '%s'\n", response.c_str());
-    return 1;
-  }
-  std::printf("submitted job %llu\n", static_cast<unsigned long long>(id));
-  if (!cli.wait) return 0;
-
-  for (;;) {
-    if (!call_ok(serve::format_status(), response)) return 1;
-    const std::string line = status_line_for(response, id);
-    if (line.empty()) {
-      std::fprintf(stderr, "error: job %llu vanished from STATUS\n",
-                   static_cast<unsigned long long>(id));
-      return 1;
-    }
-    const std::vector<std::string> fields = engine::detail::split(line, ' ');
-    const std::string& state = fields.size() > 2 ? fields[2] : line;
-    if (state == "queued" || state == "running") {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      continue;
-    }
-    std::printf("%s\n", line.c_str());
-    if (state == "done") return 0;
-    if (state == "cancelled") return 3;
-    return 1;  // failed (or an unknown state, which is its own failure)
-  }
+int run(int argc, char** argv) {
+  const std::string command = argv[1];
+  const std::vector<std::string> args(argv + 2, argv + argc);
+  // `simulate` without an INI file (nothing or a --flag next) is the
+  // generated-scenario sweep mode; with a file it simulates that network.
+  const bool simulate_sweep = command == "simulate" && (args.empty() || args[0].rfind("--", 0) == 0);
+  if (command == "sweep" || command == "optimize" || simulate_sweep) return cmd_run(command, args);
+  if (command == "shard") return cmd_shard(args);
+  if (command == "merge") return cmd_merge(args);
+  if (args.empty()) return usage();
+  return cmd_network(command, args[0], std::vector<std::string>(args.begin() + 1, args.end()));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  if (std::strcmp(argv[1], "sweep") == 0) {
-    try {
-      return cmd_sweep(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (std::strcmp(argv[1], "optimize") == 0) {
-    try {
-      return cmd_optimize(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (std::strcmp(argv[1], "shard") == 0) {
-    try {
-      return cmd_shard(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (std::strcmp(argv[1], "merge") == 0) {
-    try {
-      return cmd_merge(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (std::strcmp(argv[1], "serve") == 0) {
-    try {
-      return cmd_serve(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (std::strcmp(argv[1], "submit") == 0) {
-    try {
-      return cmd_submit(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  // `simulate` without an INI file (nothing or a --flag next) is the
-  // generated-scenario sweep mode; with a file it simulates that network.
-  if (std::strcmp(argv[1], "simulate") == 0 &&
-      (argc == 2 || std::strncmp(argv[2], "--", 2) == 0)) {
-    try {
-      return cmd_simulate_sweep(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (argc < 3) return usage();
-  const std::string command = argv[1];
-  const std::string path = argv[2];
-
-  std::string policy = command == "simulate" ? "fcfs" : "all";
-  Ticks milliseconds = 1'000;
-  std::uint64_t seed = 1;
-  bool histograms = false;
-  std::size_t trace_events = 0;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--policy") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      policy = v;
-    } else if (arg == "--ms") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      milliseconds = std::atoll(v);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--histograms") {
-      histograms = true;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      trace_events = static_cast<std::size_t>(std::atoll(v));
-    } else {
-      return usage();
-    }
-  }
-
   try {
-    const LoadedNetwork ln = profisched::config::load_network_file(path);
-    std::printf("loaded %s: %zu masters, %zu streams, T_TR = %lld ticks\n", path.c_str(),
-                ln.net.n_masters(), ln.net.total_high_streams(),
-                static_cast<long long>(ln.net.ttr));
-    if (command == "analyze") return cmd_analyze(ln, policy);
-    if (command == "simulate") {
-      return cmd_simulate(ln, policy, milliseconds, seed, histograms, trace_events);
-    }
-    if (command == "ttr") return cmd_ttr(ln);
-    return usage();
+    return run(argc, argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
