@@ -141,12 +141,8 @@ EdfRtaResult edf_response_time_nonpreemptive(const TaskSet& ts, std::size_t i,
 
 // ------------------------------------------------------------ SoA fast path
 
-namespace {
-
-/// Candidate offsets into a reused buffer — same generation order (hence
-/// identical sorted/deduplicated content) as edf_candidate_offsets above.
-void candidate_offsets_view(const TaskSetView& v, std::size_t i, Ticks horizon,
-                            std::vector<Ticks>& out) {
+void edf_candidate_offsets(const TaskSetView& v, std::size_t i, Ticks horizon,
+                           std::vector<Ticks>& out) {
   out.clear();
   out.push_back(0);
   const Ticks di = v.D[i];
@@ -164,6 +160,8 @@ void candidate_offsets_view(const TaskSetView& v, std::size_t i, Ticks horizon,
   out.erase(dup.begin(), dup.end());
 }
 
+namespace {
+
 /// W_i(a, t) / W*_i(a, t) over the view (abs_deadline = a + D_i, hoisted).
 Ticks hp_workload_view(const TaskSetView& v, std::size_t i, Ticks abs_deadline, Ticks t,
                        bool start_time_form) {
@@ -179,6 +177,28 @@ Ticks hp_workload_view(const TaskSetView& v, std::size_t i, Ticks abs_deadline, 
   return sum;
 }
 
+}  // namespace
+
+EdfOffsetFixedPoint edf_offset_fixed_point(const TaskSetView& v, std::size_t i, Ticks abs_deadline,
+                                           Ticks base, Ticks seed, bool start_time_form, int fuel) {
+  if (const simd::Kernels* k = v.simd_ok ? simd::active() : nullptr) {
+    const simd::EdfOffsetResult r =
+        k->edf_offset_fixed_point(v.C, v.T, v.D, v.J, v.recip_t, v.n_padded, i, abs_deadline,
+                                  base, seed, start_time_form, fuel);
+    if (r.status == simd::Status::kOk) return {r.converged, r.fixed_point};
+  }
+  Ticks L = seed;
+  for (int it = 0; it < fuel; ++it) {
+    const Ticks next = sat_add(base, hp_workload_view(v, i, abs_deadline, L, start_time_form));
+    if (next == L) return {true, L};
+    if (next == kNoBound) return {};
+    L = next;
+  }
+  return {};
+}
+
+namespace {
+
 /// OffsetResult plus the converged L(a) (the next offset's warm seed).
 struct OffsetOutcomeView {
   bool converged = false;
@@ -189,24 +209,10 @@ struct OffsetOutcomeView {
 OffsetOutcomeView offset_preemptive_view(const TaskSetView& v, std::size_t i, Ticks a, int fuel,
                                          Ticks warm_l) {
   const Ticks own = sat_mul(floor_div_plus1(a, v.T[i]), v.C[i]);
-  const Ticks abs_deadline = sat_add(a, v.D[i]);
-  Ticks L = std::max(own, warm_l);
-  if (const simd::Kernels* k = v.simd_ok ? simd::active() : nullptr) {
-    const simd::EdfOffsetResult r =
-        k->edf_offset_fixed_point(v.C, v.T, v.D, v.J, v.recip_t, v.n_padded, i, abs_deadline,
-                                  own, L, /*start_time_form=*/false, fuel);
-    if (r.status == simd::Status::kOk) {
-      if (!r.converged) return {};
-      return {true, std::max(v.C[i], r.fixed_point - a), r.fixed_point};
-    }
-  }
-  for (int it = 0; it < fuel; ++it) {
-    const Ticks next = sat_add(hp_workload_view(v, i, abs_deadline, L, false), own);
-    if (next == L) return {true, std::max(v.C[i], L - a), L};
-    if (next == kNoBound) return {};
-    L = next;
-  }
-  return {};
+  const EdfOffsetFixedPoint fp = edf_offset_fixed_point(
+      v, i, sat_add(a, v.D[i]), own, std::max(own, warm_l), /*start_time_form=*/false, fuel);
+  if (!fp.converged) return {};
+  return {true, std::max(v.C[i], fp.value - a), fp.value};
 }
 
 OffsetOutcomeView offset_nonpreemptive_view(const TaskSetView& v, std::size_t i, Ticks a,
@@ -217,28 +223,13 @@ OffsetOutcomeView offset_nonpreemptive_view(const TaskSetView& v, std::size_t i,
     if (j == i) continue;
     if (v.D[j] - v.J[j] > abs_deadline) blocking = std::max(blocking, v.C[j] - 1);
   }
+  // base = blocking + own_prior: sat_add over non-negative terms is
+  // order-insensitive, so folding it up front matches the reference sum.
   const Ticks own_prior = sat_mul(floor_div(a, v.T[i]), v.C[i]);
-  if (const simd::Kernels* k = v.simd_ok ? simd::active() : nullptr) {
-    // base = blocking + own_prior: sat_add over non-negative terms is
-    // order-insensitive, so folding it up front matches the reference sum.
-    const simd::EdfOffsetResult r =
-        k->edf_offset_fixed_point(v.C, v.T, v.D, v.J, v.recip_t, v.n_padded, i, abs_deadline,
-                                  sat_add(blocking, own_prior), /*l0=*/0,
-                                  /*start_time_form=*/true, fuel);
-    if (r.status == simd::Status::kOk) {
-      if (!r.converged) return {};
-      return {true, sat_add(v.C[i], std::max<Ticks>(0, r.fixed_point - a)), r.fixed_point};
-    }
-  }
-  Ticks L = 0;
-  for (int it = 0; it < fuel; ++it) {
-    const Ticks next =
-        sat_add(blocking, sat_add(hp_workload_view(v, i, abs_deadline, L, true), own_prior));
-    if (next == L) return {true, sat_add(v.C[i], std::max<Ticks>(0, L - a)), L};
-    if (next == kNoBound) return {};
-    L = next;
-  }
-  return {};
+  const EdfOffsetFixedPoint fp = edf_offset_fixed_point(
+      v, i, abs_deadline, sat_add(blocking, own_prior), /*seed=*/0, /*start_time_form=*/true, fuel);
+  if (!fp.converged) return {};
+  return {true, sat_add(v.C[i], std::max<Ticks>(0, fp.value - a)), fp.value};
 }
 
 /// Shared candidate-deadline set: every s = k·T_j + D_j − J_j within
@@ -301,11 +292,38 @@ EdfRtaResult edf_scan_offsets(const TaskSetView& v, std::size_t i, bool preempti
   return r;
 }
 
+/// |{k ≥ 0 : lo ≤ k·T + b ≤ hi}| — how many entries one task contributes to
+/// a candidate enumeration, counted without enumerating.
+Ticks lattice_count(Ticks b, Ticks T, Ticks lo, Ticks hi) {
+  const Ticks k_lo = std::max<Ticks>(0, ceil_div(sat_add(lo, -b), T));
+  const Ticks k_hi = floor_div(sat_add(hi, -b), T);
+  return k_hi >= k_lo ? sat_add(k_hi - k_lo, 1) : 0;
+}
+
+/// True when the shared candidate set over [0, limit] is no larger than the
+/// per-task windows [D_i, horizon + D_i] together (sizes before
+/// deduplication). Where deadlines dwarf the busy period the shared set
+/// spans max_j D_j worth of releases while each window spans only the busy
+/// period, so the per-task route is the one that stays small.
+bool shared_set_pays(const TaskSetView& v, Ticks horizon, Ticks limit) {
+  Ticks shared = 0;
+  Ticks windows = 0;
+  for (std::size_t j = 0; j < v.n; ++j) {
+    const Ticks b = v.D[j] - v.J[j];
+    shared = sat_add(shared, lattice_count(b, v.T[j], 0, limit));
+    for (std::size_t i = 0; i < v.n; ++i) {
+      windows = sat_add(windows, lattice_count(b, v.T[j], v.D[i], sat_add(horizon, v.D[i])));
+    }
+  }
+  return shared <= windows;
+}
+
 /// Whole-set driver shared by the EdfAnalysis and EdfCellResult entry
 /// points: binds the view, hoists the per-task guards (the reference
 /// evaluates them per task, but they are task-independent — identical
-/// verdict either way), builds the shared candidate set when usable, and
-/// hands each task's EdfRtaResult to `sink(i, r, D_i)`.
+/// verdict either way), builds the shared candidate set when it is the
+/// smaller enumeration, and hands each task's EdfRtaResult to
+/// `sink(i, r, D_i)`.
 template <typename SinkFn>
 void analyze_edf_common(const TaskSet& ts, const EdfRtaOptions& opt, RtaScratch& scratch,
                         bool warm_start, bool preemptive, int& busy_iterations, SinkFn sink) {
@@ -322,7 +340,7 @@ void analyze_edf_common(const TaskSet& ts, const EdfRtaOptions& opt, RtaScratch&
   Ticks max_d = 0;
   for (std::size_t j = 0; j < v.n; ++j) max_d = std::max(max_d, v.D[j]);
   const Ticks limit = have_horizon ? sat_add(bp.length, max_d) : kNoBound;
-  const bool shared = have_horizon && limit != kNoBound;
+  const bool shared = have_horizon && limit != kNoBound && shared_set_pays(v, bp.length, limit);
   if (shared) shared_candidate_deadlines(v, limit, scratch.offsets);
   const std::vector<Ticks>& cand = scratch.offsets;
 
@@ -349,7 +367,7 @@ void analyze_edf_common(const TaskSet& ts, const EdfRtaOptions& opt, RtaScratch&
           });
         }
       } else {
-        candidate_offsets_view(v, i, bp.length, scratch.offsets);
+        edf_candidate_offsets(v, i, bp.length, scratch.offsets);
         if (scratch.offsets.size() <= opt.max_offsets) {
           r = edf_scan_offsets(v, i, preemptive, opt.fixed_point_fuel, [&](auto visit) {
             for (const Ticks a : scratch.offsets) {

@@ -27,10 +27,14 @@
 // any deadline busy period, hence a valid (if slightly generous) horizon.
 //
 // Release jitter terms follow Spuri's holistic analysis [34]; with all J = 0
-// the formulas reduce exactly to the paper's. The same code, with C replaced
-// by T_cycle, yields the PROFIBUS message analysis of §4.3 (see
-// profibus/edf_analysis.hpp, which reuses these routines via a TaskSet whose
-// C fields are T_cycle).
+// the formulas reduce exactly to the paper's. With every C replaced by
+// T_cycle the non-preemptive recurrence is the PROFIBUS message analysis of
+// §4.3. profibus/edf_analysis.hpp binds each master's streams into a
+// TaskSetArena view (TaskSetArena::bind_columns, C = T_cycle) and shares the
+// view-level pieces declared below: edf_candidate_offsets and
+// edf_offset_fixed_point (hence the vector kernel). Its blocking term
+// (T_cycle rather than max C_j − 1), its busy-period horizon and its offset
+// scan stay its own.
 #pragma once
 
 #include <cstdint>
@@ -109,13 +113,45 @@ struct EdfRtaOptions {
 //    from the previous offset's converged value — L(a) is monotone
 //    non-decreasing in a (W_i(a,t) and the own-instance term only grow with
 //    a), so the seed is a valid lower bound and the least fixed point
-//    reached is unchanged. (Non-preemptive L(a) is *not* monotone in a: the
-//    blocking term shrinks as a grows — that scan stays cold.)
+//    reached is unchanged. The non-preemptive scan here stays cold: its
+//    blocking term max C_j − 1 shrinks as a grows. The PROFIBUS form
+//    (eq. 18) is the exception that warm-starts: its blocking is binary,
+//    T_cycle or 0, and drops only where the last later-deadline stream joins
+//    W*_i with at least one T_cycle request, so that recurrence still never
+//    decreases in a (see profibus/edf_analysis.hpp);
+//  * the shared candidate set is built only when it is no larger than the
+//    per-task windows together (counted arithmetically first): where
+//    deadlines dwarf the busy period it would enumerate max_j D_j worth of
+//    releases, and the per-task route is taken instead.
 [[nodiscard]] EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, const EdfRtaOptions& opt,
                                                  RtaScratch& scratch, bool warm_start = false);
 [[nodiscard]] EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, const EdfRtaOptions& opt,
                                                     RtaScratch& scratch,
                                                     bool warm_start = false);
+
+/// Candidate offsets of view task i within [0, horizon] into a reused
+/// buffer: the same sorted, deduplicated set edf_candidate_offsets(ts, …)
+/// returns for the TaskSet the view was bound from.
+void edf_candidate_offsets(const TaskSetView& v, std::size_t i, Ticks horizon,
+                           std::vector<Ticks>& out);
+
+/// Outcome of one offset's fixed point L_i(a).
+struct EdfOffsetFixedPoint {
+  bool converged = false;
+  Ticks value = 0;  ///< the least fixed point L_i(a) when converged
+};
+
+/// Least fixed point of L → base + W_i(a, L) over view task i, with
+/// abs_deadline = a + D_i and W the preemptive workload (eq. 6), or W* when
+/// start_time_form (eqs. 9 / 18). The caller folds its own-instance and
+/// blocking terms into `base`. Iterates from `seed`, which must not exceed
+/// the least fixed point (0 always qualifies); a valid seed reaches the same
+/// fixed point in no more iterations. Runs the vector kernel when the view
+/// passes its gate, the scalar recurrence otherwise or on kFallback.
+/// Not converged: divergence to kNoBound or `fuel` exhausted.
+[[nodiscard]] EdfOffsetFixedPoint edf_offset_fixed_point(const TaskSetView& v, std::size_t i,
+                                                         Ticks abs_deadline, Ticks base, Ticks seed,
+                                                         bool start_time_form, int fuel);
 
 /// Whole-set outcome folded down to what a sweep cell needs — exactly what
 /// run_usweep derives from an EdfAnalysis, computed without materializing

@@ -3,9 +3,9 @@
 // environment knob both pin the scalar reference paths; otherwise the AVX2
 // table is selected after a cpuid check (the AVX2 TU is the only one built
 // with -mavx2, so the rest of the library stays baseline-ISA) and NEON is
-// the aarch64 baseline. force_scalar() is a process-wide override the bench
-// harness and equivalence tests flip to time/compare both paths in one
-// binary.
+// the aarch64 baseline. force_scalar() and override_kernels() are
+// process-wide overrides the bench harness and equivalence tests flip to
+// time/compare every path in one binary.
 #include "core/simd.hpp"
 
 #include <atomic>
@@ -22,6 +22,7 @@ const Kernels* neon_kernels() noexcept;  // simd_neon.cpp (nullptr off-aarch64)
 namespace {
 
 std::atomic<bool> g_force_scalar{false};
+std::atomic<const Kernels*> g_override{nullptr};
 
 bool env_disabled() noexcept {
   const char* v = std::getenv("PROFISCHED_SIMD");
@@ -52,10 +53,16 @@ const Kernels* detected() noexcept {
 }  // namespace
 
 const Kernels* active() noexcept {
-  return g_force_scalar.load(std::memory_order_relaxed) ? nullptr : detected();
+  if (g_force_scalar.load(std::memory_order_relaxed)) return nullptr;
+  const Kernels* o = g_override.load(std::memory_order_relaxed);
+  return o != nullptr ? o : detected();
 }
 
 void force_scalar(bool on) noexcept { g_force_scalar.store(on, std::memory_order_relaxed); }
+
+void override_kernels(const Kernels* table) noexcept {
+  g_override.store(table, std::memory_order_relaxed);
+}
 
 const char* backend_name() noexcept {
   const Kernels* k = detected();

@@ -131,6 +131,12 @@ struct Kernels {
 /// from the same binary.
 void force_scalar(bool on) noexcept;
 
+/// Cross-check override: route active() to `table` on every thread
+/// (force_scalar still wins); nullptr restores detection. Lets the
+/// equivalence tests drive the product paths through scalar_lane_kernels()
+/// on builds without vector kernels.
+void override_kernels(const Kernels* table) noexcept;
+
 /// "avx2", "neon", or "scalar" (what active() would dispatch to absent
 /// force_scalar).
 [[nodiscard]] const char* backend_name() noexcept;

@@ -86,11 +86,27 @@ class TaskSetArena {
   /// indices are bounds-checked.
   const TaskSetView& bind(const TaskSet& ts, std::span<const std::size_t> order);
 
+  /// Bind n tasks that are not a TaskSet: `write(C, T, D, J)` fills elements
+  /// [0, n) of the four columns (index[p] == p). Padding, the reciprocal
+  /// cache and the simd_ok gate are then applied exactly as for a TaskSet
+  /// bind — the PROFIBUS EDF analysis binds a master's message streams this
+  /// way, with every C set to T_cycle.
+  template <typename WriteFn>
+  const TaskSetView& bind_columns(std::size_t n, WriteFn&& write) {
+    resize(n);
+    write(c_.data(), t_.data(), d_.data(), j_.data());
+    for (std::size_t p = 0; p < n; ++p) idx_[p] = p;
+    return seal(n);
+  }
+
  private:
   const TaskSetView& fill(const TaskSet& ts, const std::size_t* order, std::size_t n);
+  void resize(std::size_t n);
+  const TaskSetView& seal(std::size_t n);
 
   std::vector<Ticks> c_, t_, d_, j_;
   std::vector<double> recip_t_;
+  std::vector<Ticks> recip_of_;  ///< the T each recip_t_ entry was computed from
   std::vector<std::size_t> idx_;
   TaskSetView view_;
 };

@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "profibus/edf_analysis.hpp"
 
 namespace profisched::engine {
@@ -74,6 +75,13 @@ std::vector<profibus::Transaction> per_stream_transactions(const profibus::Netwo
 }  // namespace
 
 namespace {
+
+/// Offsets the EDF analyses examined, published once per analyze_edf call
+/// from the scratch accumulator (the per-offset loop stays untouched).
+obs::Counter& edf_offsets_counter() {
+  static obs::Counter c = obs::Registry::global().counter("analysis.edf.offsets_examined");
+  return c;
+}
 
 /// Cheap structural fingerprint so an id collision between different
 /// networks invalidates the memo instead of serving stale timing.
@@ -154,6 +162,7 @@ Report AnalysisEngine::analyze_with(const Scenario& sc, Policy policy, Memo& m) 
     case Policy::Edf:
       if (!m.edf_busy) m.edf_busy = profibus::edf_busy_periods(sc.net, tm, opt_.fuel);
       r.detail = analyze_edf(sc.net, tm, nullptr, opt_.fuel, &*m.edf_busy, &scratch_);
+      edf_offsets_counter().add(std::exchange(scratch_.edf_offsets_examined, 0));
       r.schedulable = r.detail.schedulable;
       break;
     case Policy::Opa: {

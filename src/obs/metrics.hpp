@@ -31,6 +31,8 @@
 //   cache.*   runner-level memo/result-cache accounting;
 //   cache.file.*  ResultCache file-level accounting (bytes, heals)
 //   engine.*  analysis-engine memoisation
+//   analysis.*  analysis effort (EDF offsets examined), published once per
+//             analysis call
 //   sim.*     simulation kernel bridges (events, pool recycles, faults)
 //   opt.*     optimizer bisection probe counts
 //   dist.*    shard/merge row + spec-validation accounting

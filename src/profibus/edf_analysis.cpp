@@ -1,7 +1,10 @@
 #include "profibus/edf_analysis.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
+
+#include "core/response_time_edf.hpp"
 
 namespace profisched::profibus {
 
@@ -22,70 +25,6 @@ Ticks master_busy_period(const Master& master, Ticks tcycle, int fuel) {
     L = next;
   }
   return kNoBound;
-}
-
-/// Candidate offsets a (paper eq. 10, jitter-shifted) within [0, horizon],
-/// into a reused buffer.
-void candidate_offsets(const Master& master, std::size_t i, Ticks horizon,
-                       std::vector<Ticks>& offsets) {
-  offsets.clear();
-  offsets.push_back(0);
-  const Ticks di = master.high_streams[i].D;
-  for (const MessageStream& sj : master.high_streams) {
-    const Ticks base = sj.D - sj.J - di;
-    const Ticks k0 = base >= 0 ? 0 : ceil_div(-base, sj.T);
-    for (Ticks k = k0;; ++k) {
-      const Ticks a = sat_add(sat_mul(k, sj.T), base);
-      if (a > horizon || a == kNoBound) break;
-      offsets.push_back(a);
-    }
-  }
-  std::ranges::sort(offsets);
-  const auto dup = std::ranges::unique(offsets);
-  offsets.erase(dup.begin(), dup.end());
-}
-
-struct OffsetOutcome {
-  bool converged = false;
-  Ticks response = kNoBound;
-};
-
-/// R_i(a) per eqs. 17–18.
-OffsetOutcome response_at_offset(const Master& master, std::size_t i, Ticks a, Ticks tcycle,
-                                 int fuel) {
-  const MessageStream& si = master.high_streams[i];
-  const Ticks abs_deadline = sat_add(a, si.D);
-
-  // T*_cycle(a): a later-deadline request from another stream may already
-  // occupy the one-deep stack queue.
-  Ticks blocking = 0;
-  for (std::size_t j = 0; j < master.nh(); ++j) {
-    if (j == i) continue;
-    const MessageStream& sj = master.high_streams[j];
-    if (sj.D - sj.J > abs_deadline) {
-      blocking = tcycle;
-      break;
-    }
-  }
-
-  const Ticks own_prior = sat_mul(floor_div(a, si.T), tcycle);
-
-  Ticks L = 0;
-  for (int it = 0; it < fuel; ++it) {
-    Ticks next = sat_add(blocking, own_prior);
-    for (std::size_t j = 0; j < master.nh(); ++j) {
-      if (j == i) continue;
-      const MessageStream& sj = master.high_streams[j];
-      if (sj.D - sj.J > abs_deadline) continue;  // later deadline: lower priority
-      const Ticks by_time = floor_div_plus1(sat_add(L, sj.J), sj.T);
-      const Ticks by_deadline = floor_div_plus1(abs_deadline - sj.D + sj.J, sj.T);
-      next = sat_add(next, sat_mul(std::min(by_time, by_deadline), tcycle));
-    }
-    if (next == L) return {true, sat_add(tcycle, std::max<Ticks>(0, L - a))};
-    if (next == kNoBound) return {};
-    L = next;
-  }
-  return {};
 }
 
 }  // namespace
@@ -111,8 +50,8 @@ NetworkAnalysis analyze_edf(const Network& net, const TimingMemo& memo,
   out.tcycle = memo.tcycle;
   out.schedulable = true;
 
-  std::vector<Ticks> local_offsets;
-  std::vector<Ticks>& offsets = scratch != nullptr ? scratch->offsets : local_offsets;
+  AnalysisScratch local;
+  AnalysisScratch& s = scratch != nullptr ? *scratch : local;
 
   const std::vector<Ticks>& tc = memo.per_master;
   out.masters.resize(net.n_masters());
@@ -126,33 +65,59 @@ NetworkAnalysis analyze_edf(const Network& net, const TimingMemo& memo,
     if (detail) (*detail)[k].resize(master.nh());
 
     const Ticks horizon = busy ? (*busy)[k] : master_busy_period(master, tc[k], fuel);
+    if (horizon == kNoBound) {
+      // Every stream stays kNoBound / not schedulable.
+      if (master.nh() > 0) ma.schedulable = out.schedulable = false;
+      continue;
+    }
+    const Ticks tcycle = tc[k];
+    const auto write = [&](Ticks* C, Ticks* T, Ticks* D, Ticks* J) {
+      for (std::size_t i = 0; i < master.nh(); ++i) {
+        const MessageStream& si = master.high_streams[i];
+        C[i] = tcycle;
+        T[i] = si.T;
+        D[i] = si.D;
+        J[i] = si.J;
+      }
+    };
+    const TaskSetView& v = s.arena.bind_columns(master.nh(), write);
+    // T*_cycle(a) = T_cycle iff some other stream has D_j − J_j > a + D_i.
+    // Stream i itself never does (J_i >= 0, a >= 0), so the master-wide
+    // maximum decides it in O(1) for every stream.
+    Ticks latest = std::numeric_limits<Ticks>::min();
+    for (std::size_t j = 0; j < v.n; ++j) latest = std::max(latest, v.D[j] - v.J[j]);
+
     for (std::size_t i = 0; i < master.nh(); ++i) {
       StreamResponse& r = ma.streams[i];
-      if (horizon == kNoBound) {
-        ma.schedulable = false;
-        continue;  // r stays kNoBound / not schedulable
-      }
       Ticks best = 0;
       Ticks best_a = 0;
       std::size_t examined = 0;
       bool ok = true;
-      candidate_offsets(master, i, horizon, offsets);
-      for (const Ticks a : offsets) {
+      Ticks seed = 0;  // the previous offset's L(a): a valid warm seed (see header)
+      edf_candidate_offsets(v, i, horizon, s.offsets);
+      for (const Ticks a : s.offsets) {
         ++examined;
-        const OffsetOutcome o = response_at_offset(master, i, a, tc[k], fuel);
-        if (!o.converged) {
+        const Ticks abs_deadline = sat_add(a, v.D[i]);
+        const Ticks blocking = latest > abs_deadline ? tcycle : 0;  // T*_cycle(a)
+        const Ticks base = sat_add(blocking, sat_mul(floor_div(a, v.T[i]), tcycle));
+        const EdfOffsetFixedPoint fp =
+            edf_offset_fixed_point(v, i, abs_deadline, base, seed, /*start_time_form=*/true, fuel);
+        if (!fp.converged) {
           ok = false;
           break;
         }
-        if (o.response > best) {
-          best = o.response;
+        seed = fp.value;
+        const Ticks response = sat_add(tcycle, std::max<Ticks>(0, fp.value - a));  // eq. 17
+        if (response > best) {
+          best = response;
           best_a = a;
         }
       }
+      s.edf_offsets_examined += examined;
       if (ok) {
         r.response = best;
-        r.Q = best - tc[k];
-        r.meets_deadline = r.response <= master.high_streams[i].D;
+        r.Q = best - tcycle;
+        r.meets_deadline = r.response <= v.D[i];
       }
       if (detail) (*detail)[k][i] = {best_a, examined};
       if (!r.meets_deadline) ma.schedulable = false;

@@ -27,6 +27,39 @@
 //
 // As with DM, R_i is measured from AP-queue insertion; g/J_i belong to the
 // end-to-end bound of §4.2.
+//
+// Implementation. Eq. 18 is the non-preemptive EDF offset recurrence of
+// core/response_time_edf.hpp with every C_j = T_cycle, so analyze_edf binds
+// each master once per call into a padded SoA view (TaskSetArena, owned by
+// AnalysisScratch) and runs each offset's fixed point through core's
+// edf_offset_fixed_point — the vector kernel when the view passes its gate
+// (every T_j >= T_cycle among others), the scalar recurrence otherwise. What is network-specific lives in the kernel's `base`
+// argument, T*_cycle(a) + ⌊a/T_i⌋·T_cycle, and in eq. 17's fold.
+// T*_cycle(a) costs O(1): stream i's own D_i − J_i never exceeds a + D_i,
+// so the master-wide max_j(D_j − J_j) decides it for every stream.
+//
+// Warm-started offset scan. Offsets are scanned in ascending order, and
+// the recurrence f_a(L) = T*_cycle(a) + W_i(a, L) + ⌊a/T_i⌋·T_cycle never
+// decreases as a grows:
+//  * ⌊a/T_i⌋·T_cycle and W_i(a, t) never decrease — the set of
+//    earlier-deadline streams and each min's deadline cap only grow;
+//  * T*_cycle(a) steps down at most once, from T_cycle to 0, and only at the
+//    offset where the last later-deadline stream j (D_j − J_j > a + D_i
+//    before) joins W_i — with min{1 + ⌊(t+J_j)/T_j⌋, 1 + ⌊(a + D_i − D_j +
+//    J_j)/T_j⌋} >= 1 request, i.e. at least the T_cycle the blocking term
+//    loses.
+// So f_a >= f_a' pointwise for a > a', and the previous offset's converged
+// L(a') satisfies L(a') = f_a'(L(a')) <= f_a(L(a')) and L(a') <= L(a): it is a
+// valid seed, and iterating from it reaches the same least fixed point L(a)
+// in no more iterations. Every converged L is exact — kernel or scalar — so
+// it seeds the next offset on either path, and no reset is needed.
+//
+// Fuel caveat. A warm seed converges in fewer iterations than the cold
+// iteration from 0. Results are identical to the cold analysis wherever the
+// cold iteration converges or diverges within `fuel` (the 1 << 16 default);
+// where the cold iteration would exhaust its fuel mid-climb, the warm scan
+// may still converge. That is the contract of core's preemptive warm path:
+// a fuel-bound verdict is a resource limit, not an analysis result.
 #pragma once
 
 #include "profibus/fcfs_analysis.hpp"
@@ -54,8 +87,8 @@ struct EdfStreamDetail {
 
 /// Memoized form: reuse a precomputed TimingMemo — and, when `busy` is
 /// non-null, precomputed edf_busy_periods — instead of re-deriving them.
-/// `scratch`, when non-null, supplies the candidate-offset buffer (see
-/// AnalysisScratch).
+/// `scratch`, when non-null, supplies the candidate-offset buffer and the
+/// SoA arena, and accumulates the offsets examined (see AnalysisScratch).
 [[nodiscard]] NetworkAnalysis analyze_edf(
     const Network& net, const TimingMemo& memo,
     std::vector<std::vector<EdfStreamDetail>>* detail = nullptr, int fuel = 1 << 16,

@@ -15,8 +15,10 @@
 // removes.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
+#include "core/taskset_view.hpp"
 #include "profibus/token_ring_analysis.hpp"
 
 namespace profisched::profibus {
@@ -45,10 +47,14 @@ struct NetworkAnalysis {
 /// analyze_dm / analyze_edf would otherwise allocate per master (or per
 /// stream) per call. One instance per thread — the engine keeps one per
 /// AnalysisEngine — makes repeated analyses allocation-free in steady state.
-/// Purely an optimization: results are identical with or without.
+/// Results are identical with or without.
 struct AnalysisScratch {
   std::vector<std::size_t> ranks;  ///< DM deadline-rank permutation buffer
   std::vector<Ticks> offsets;      ///< EDF candidate-offset buffer
+  TaskSetArena arena;              ///< EDF per-master SoA view (C = T_cycle)
+  /// Running total of the offsets analyze_edf examined; the caller drains it
+  /// (AnalysisEngine publishes it as analysis.edf.offsets_examined).
+  std::uint64_t edf_offsets_examined = 0;
 };
 
 /// FCFS analysis of the whole network (eqs. 11–12).

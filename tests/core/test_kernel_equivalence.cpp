@@ -4,6 +4,7 @@
 // implementations — response, convergence flag AND iteration count where the
 // result defines one — over randomized UUniFast task sets spanning
 // convergent, divergent and degenerate regimes.
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -151,40 +152,69 @@ TEST(KernelEquivalence, EdfFeasibilityMatchesReference) {
   }
 }
 
-TEST(KernelEquivalence, EdfRtaMatchesReference) {
-  RtaScratch scratch;
+/// Whole-set EDF analyses (plain and scratch-reusing) against the per-task
+/// reference entry points, both EDF variants.
+void expect_edf_matches_reference(const TaskSet& ts, RtaScratch& scratch, std::uint64_t seed) {
   const EdfRtaOptions opt;
-  for (std::uint64_t seed = 1; seed <= kSetsPerPolicy; ++seed) {
-    const TaskSet ts = random_set(seed);
-    for (const bool preemptive : {true, false}) {
-      EdfAnalysis ref;
-      ref.per_task.resize(ts.size());
-      ref.schedulable = true;
-      for (std::size_t i = 0; i < ts.size(); ++i) {
-        ref.per_task[i] = preemptive ? edf_response_time_preemptive(ts, i, opt)
-                                     : edf_response_time_nonpreemptive(ts, i, opt);
-        if (!ref.per_task[i].meets(ts[i].D)) ref.schedulable = false;
-      }
-      const EdfAnalysis plain =
-          preemptive ? analyze_preemptive_edf(ts, opt) : analyze_nonpreemptive_edf(ts, opt);
-      const EdfAnalysis reused = preemptive
-                                     ? analyze_preemptive_edf(ts, opt, scratch)
-                                     : analyze_nonpreemptive_edf(ts, opt, scratch);
-      EXPECT_EQ(ref.schedulable, plain.schedulable) << "seed " << seed;
-      EXPECT_EQ(ref.schedulable, reused.schedulable) << "seed " << seed;
-      for (std::size_t i = 0; i < ts.size(); ++i) {
-        for (const EdfAnalysis* fast : {&plain, &reused}) {
-          EXPECT_EQ(ref.per_task[i].converged, fast->per_task[i].converged)
-              << "seed " << seed << " task " << i << " preemptive " << preemptive;
-          EXPECT_EQ(ref.per_task[i].response, fast->per_task[i].response)
-              << "seed " << seed << " task " << i << " preemptive " << preemptive;
-          EXPECT_EQ(ref.per_task[i].critical_offset, fast->per_task[i].critical_offset)
-              << "seed " << seed << " task " << i << " preemptive " << preemptive;
-          EXPECT_EQ(ref.per_task[i].offsets_examined, fast->per_task[i].offsets_examined)
-              << "seed " << seed << " task " << i << " preemptive " << preemptive;
-        }
+  for (const bool preemptive : {true, false}) {
+    EdfAnalysis ref;
+    ref.per_task.resize(ts.size());
+    ref.schedulable = true;
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      ref.per_task[i] = preemptive ? edf_response_time_preemptive(ts, i, opt)
+                                   : edf_response_time_nonpreemptive(ts, i, opt);
+      if (!ref.per_task[i].meets(ts[i].D)) ref.schedulable = false;
+    }
+    const EdfAnalysis plain =
+        preemptive ? analyze_preemptive_edf(ts, opt) : analyze_nonpreemptive_edf(ts, opt);
+    const EdfAnalysis reused = preemptive
+                                   ? analyze_preemptive_edf(ts, opt, scratch)
+                                   : analyze_nonpreemptive_edf(ts, opt, scratch);
+    EXPECT_EQ(ref.schedulable, plain.schedulable) << "seed " << seed;
+    EXPECT_EQ(ref.schedulable, reused.schedulable) << "seed " << seed;
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      for (const EdfAnalysis* fast : {&plain, &reused}) {
+        EXPECT_EQ(ref.per_task[i].converged, fast->per_task[i].converged)
+            << "seed " << seed << " task " << i << " preemptive " << preemptive;
+        EXPECT_EQ(ref.per_task[i].response, fast->per_task[i].response)
+            << "seed " << seed << " task " << i << " preemptive " << preemptive;
+        EXPECT_EQ(ref.per_task[i].critical_offset, fast->per_task[i].critical_offset)
+            << "seed " << seed << " task " << i << " preemptive " << preemptive;
+        EXPECT_EQ(ref.per_task[i].offsets_examined, fast->per_task[i].offsets_examined)
+            << "seed " << seed << " task " << i << " preemptive " << preemptive;
       }
     }
+  }
+}
+
+TEST(KernelEquivalence, EdfRtaMatchesReference) {
+  RtaScratch scratch;
+  for (std::uint64_t seed = 1; seed <= kSetsPerPolicy; ++seed) {
+    expect_edf_matches_reference(random_set(seed), scratch, seed);
+  }
+}
+
+TEST(KernelEquivalence, EdfRtaWithDeadlinesFarBeyondTheBusyPeriod) {
+  // D = 20–100 × T: the shared candidate set would enumerate max_j D_j worth
+  // of releases per task, far more than every per-task window [D_i, L + D_i]
+  // together, so the fast path must take the per-task route — with the same
+  // results, and a candidate buffer no larger than those windows.
+  for (std::uint64_t seed = 1; seed <= kSetsPerPolicy / 4; ++seed) {
+    sim::Rng rng(seed * 0x2545f4914f6cdd1dULL + 3);
+    const TaskSet base = random_set(seed);
+    std::vector<Task> tasks(base.tasks().begin(), base.tasks().end());
+    for (Task& t : tasks) t.D = t.T * rng.uniform(20, 100);
+    const TaskSet ts(std::move(tasks));
+    RtaScratch scratch;
+    expect_edf_matches_reference(ts, scratch, seed);
+
+    const BusyPeriod bp = synchronous_busy_period(ts);
+    if (!bp.bounded()) continue;
+    std::size_t windows = 0;
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      windows += edf_candidate_offsets(ts, i, bp.length).size();
+    }
+    EXPECT_LE(scratch.offsets.size(), windows) << "seed " << seed;
   }
 }
 

@@ -2,10 +2,13 @@
 // instrumentation changes ZERO bytes of any primary artifact. Each test runs
 // the same small sweep with telemetry off and fully on (timed spans + the
 // progress heartbeat) and compares the serialized outputs byte-for-byte,
-// across every engine backend (analysis, sim, combined, optimize).
+// across every engine backend (analysis, sim, combined, optimize). The
+// analysis-effort counters must also be independent of the thread count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "engine/aggregate.hpp"
 #include "engine/sim_aggregate.hpp"
@@ -14,6 +17,7 @@
 #include "obs/progress.hpp"
 #include "opt/opt_aggregate.hpp"
 #include "opt/optimizer.hpp"
+#include "profibus/edf_analysis.hpp"
 
 namespace profisched {
 namespace {
@@ -130,6 +134,34 @@ TEST(ObsByteIdentity, OptimizeOutputsAreIdentical) {
   }
   EXPECT_EQ(off_csv, on_csv);
   EXPECT_EQ(off_json, on_json);
+}
+
+TEST(ObsCounters, EdfOffsetsExaminedIsExactAndThreadCountInvariant) {
+  // analysis.edf.offsets_examined counts every offset the EDF analyses
+  // scanned: the same total at 1 and 4 threads, equal to what the
+  // per-stream diagnostics of direct analyze_edf calls add up to.
+  const engine::SweepSpec spec = small_spec().sweep;
+  const auto counted = [&](unsigned threads) {
+    const obs::Counter c = obs::Registry::global().counter("analysis.edf.offsets_examined");
+    const std::uint64_t before = c.value();
+    engine::SweepRunner runner(threads);
+    (void)runner.run(spec, nullptr);
+    return c.value() - before;
+  };
+  const std::uint64_t one = counted(1);
+  EXPECT_GT(one, 0u);
+  EXPECT_EQ(one, counted(4));
+
+  std::uint64_t direct = 0;
+  for (std::uint64_t id = 0; id < spec.total_scenarios(); ++id) {
+    const engine::Scenario sc = engine::SweepRunner::make_scenario(spec, id);
+    std::vector<std::vector<profibus::EdfStreamDetail>> detail;
+    (void)profibus::analyze_edf(sc.net, spec.engine.method, &detail, spec.engine.fuel);
+    for (const auto& per_master : detail) {
+      for (const profibus::EdfStreamDetail& d : per_master) direct += d.offsets_examined;
+    }
+  }
+  EXPECT_EQ(one, direct);
 }
 
 }  // namespace
