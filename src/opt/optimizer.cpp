@@ -6,9 +6,7 @@
 #include "engine/detail/hash.hpp"
 #include "engine/detail/record.hpp"
 #include "obs/metrics.hpp"
-#include "profibus/dm_analysis.hpp"
-#include "profibus/edf_analysis.hpp"
-#include "profibus/fcfs_analysis.hpp"
+#include "profibus/dispatching.hpp"
 #include "profibus/priority_assignment.hpp"
 
 namespace profisched::opt {
@@ -49,32 +47,28 @@ bool optimizable(engine::Policy policy) {
 
 profibus::NetworkTest optimize_network_test(engine::Policy policy,
                                             const engine::EngineOptions& engine) {
-  // Mirror AnalysisEngine::analyze_with exactly, minus the per-scenario memo
-  // (probes run on mutated networks, which a Scenario-id-keyed memo would
-  // poison): same method, formulation and fuel per policy, so the base
-  // verdict here equals the sweep's verdict for the same scenario.
+  // Mirror AnalysisEngine::analyze_with's verdicts exactly, minus the
+  // per-scenario memo (probes run on mutated networks, which a
+  // Scenario-id-keyed memo would poison): same method, formulation and fuel
+  // per policy, so the base verdict here equals the sweep's verdict for the
+  // same scenario. Probes ask only for the verdict, so they run the
+  // verdict-only analyses (profibus::schedulable), and OPA's verdict is
+  // whether Audsley's search finds orders at all (see
+  // audsley_stream_orders for why the re-analysis under them always passes).
   switch (policy) {
     case engine::Policy::Fcfs:
-      return [engine](const profibus::Network& net) {
-        return profibus::analyze_fcfs(net, engine.method).schedulable;
-      };
     case engine::Policy::Dm:
-      return [engine](const profibus::Network& net) {
-        return profibus::analyze_dm(net, engine.method, engine.formulation, engine.fuel)
-            .schedulable;
+    case engine::Policy::Edf: {
+      const profibus::ApPolicy ap = engine::SimulationEngine::to_ap_policy(policy);
+      return [engine, ap](const profibus::Network& net) {
+        return profibus::schedulable(net, ap, engine.method, engine.formulation, engine.fuel);
       };
-    case engine::Policy::Edf:
-      return [engine](const profibus::Network& net) {
-        return profibus::analyze_edf(net, engine.method, nullptr, engine.fuel).schedulable;
-      };
+    }
     case engine::Policy::Opa:
       return [engine](const profibus::Network& net) {
-        const auto orders =
-            profibus::audsley_stream_orders(net, engine.method, engine.formulation, engine.fuel);
-        if (!orders) return false;
-        return profibus::analyze_fixed_priority(net, *orders, engine.method, engine.formulation,
-                                                engine.fuel)
-            .schedulable;
+        return profibus::audsley_stream_orders(net, engine.method, engine.formulation,
+                                               engine.fuel)
+            .has_value();
       };
     default:
       throw std::invalid_argument(std::string("optimize: policy ") +

@@ -27,8 +27,8 @@ enum class ApPolicy {
 }
 
 /// Run the worst-case response-time analysis for `policy` over the network.
-[[nodiscard]] inline NetworkAnalysis analyze_network(const Network& net, ApPolicy policy,
-                                                     TcycleMethod method = TcycleMethod::PaperEq13) {
+[[nodiscard]] inline NetworkAnalysis analyze_network(
+    const Network& net, ApPolicy policy, TcycleMethod method = TcycleMethod::PaperEq13) {
   switch (policy) {
     case ApPolicy::Fcfs: return analyze_fcfs(net, method);
     case ApPolicy::Dm: return analyze_dm(net, method);
@@ -36,5 +36,16 @@ enum class ApPolicy {
   }
   return {};
 }
+
+/// The verdict alone: exactly analyze_network(net, policy, method).schedulable
+/// — and, for DM and EDF, exactly the full analysis's verdict under `form`
+/// and `fuel` — through the verdict-only forms fcfs_schedulable,
+/// dm_schedulable and edf_schedulable, which do only the work that decides
+/// it. Each thread reuses one AnalysisScratch, so the analysis itself does
+/// not allocate in steady state. This is the predicate the optimizer and the
+/// sensitivity searches probe with.
+[[nodiscard]] bool schedulable(const Network& net, ApPolicy policy,
+                               TcycleMethod method = TcycleMethod::PaperEq13,
+                               Formulation form = Formulation::PaperLiteral, int fuel = 1 << 16);
 
 }  // namespace profisched::profibus

@@ -1,7 +1,5 @@
 #include "profibus/dm_analysis.hpp"
 
-#include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "profibus/detail/fp_message_rta.hpp"
@@ -31,20 +29,34 @@ NetworkAnalysis analyze_dm(const Network& net, const TimingMemo& memo, Formulati
     ma.schedulable = true;
     ma.streams.resize(master.nh());
 
-    by_deadline.resize(master.nh());
-    std::iota(by_deadline.begin(), by_deadline.end(), std::size_t{0});
-    std::ranges::stable_sort(by_deadline, [&](std::size_t a, std::size_t b) {
-      return master.high_streams[a].D < master.high_streams[b].D;
-    });
-
+    detail::deadline_monotonic_order(master, by_deadline);
     for (std::size_t rank = 0; rank < by_deadline.size(); ++rank) {
       const std::size_t i = by_deadline[rank];
-      ma.streams[i] = detail::fp_stream_response(master, by_deadline, rank, tc[k], form, fuel);
+      ma.streams[i] =
+          detail::fp_stream_response(master, by_deadline, rank, tc[k], form, fuel, kNoBound);
       if (!ma.streams[i].meets_deadline) ma.schedulable = false;
     }
     if (!ma.schedulable) out.schedulable = false;
   }
   return out;
+}
+
+bool dm_schedulable(const Network& net, const TimingMemo& memo, Formulation form, int fuel,
+                    AnalysisScratch& scratch) {
+  net.validate();
+  std::vector<std::size_t>& by_deadline = scratch.ranks;
+  for (std::size_t k = 0; k < net.n_masters(); ++k) {
+    const Master& master = net.masters[k];
+    const Ticks tcycle = memo.per_master[k];
+    detail::deadline_monotonic_order(master, by_deadline);
+    for (std::size_t rank = 0; rank < by_deadline.size(); ++rank) {
+      const Ticks deadline = master.high_streams[by_deadline[rank]].D;
+      const StreamResponse r =
+          detail::fp_stream_response(master, by_deadline, rank, tcycle, form, fuel, deadline);
+      if (!r.meets_deadline) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace profisched::profibus

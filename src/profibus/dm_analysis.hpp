@@ -54,4 +54,21 @@ namespace profisched::profibus {
                                          int fuel = 1 << 16,
                                          AnalysisScratch* scratch = nullptr);
 
+/// Verdict-only form: exactly analyze_dm(net, memo, form, fuel).schedulable,
+/// computed with only the work that decides it and without allocating in
+/// steady state (the rank buffer comes from `scratch`, and no
+/// NetworkAnalysis is built). Two cuts, both exact:
+///  * Deadline ceiling. Each stream's fixed point runs with ceiling D_i (see
+///    detail/fp_message_rta.hpp): the iteration climbs monotonically from
+///    w⁰ <= f(w⁰) toward the fixed point the full analysis returns, so once
+///    an iterate has w + T_cycle > D_i that fixed point misses too — and a
+///    stream whose iteration diverges or runs out of fuel misses in the full
+///    analysis as well.
+///  * First-miss exit. The verdict is false at the first missing stream.
+/// Fuel contract: each stream gets the same `fuel` as in the full analysis
+/// and replays its iterates up to the cut, so the verdict agrees with the
+/// full analysis for every fuel, not just where the iteration converges.
+[[nodiscard]] bool dm_schedulable(const Network& net, const TimingMemo& memo, Formulation form,
+                                  int fuel, AnalysisScratch& scratch);
+
 }  // namespace profisched::profibus

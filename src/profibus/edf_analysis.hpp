@@ -21,9 +21,20 @@
 // Candidate offsets follow eq. 10's set, shifted by jitter:
 // a ∈ ∪_j { k·T_j + D_j − J_j − D_i } ∩ [0, L], with L the synchronous busy
 // period of the master's streams under one-T_cycle-per-request service. If
-// Σ_i T_cycle/T_i >= 1 for a master, its busy period is unbounded and the
+// Σ_i T_cycle/T_i > 1 for a master, its busy period is unbounded and the
 // master is reported unschedulable under the EDF queue (token visits cannot
-// keep up with request arrivals).
+// keep up with request arrivals). At exactly 1 the busy period may still
+// close (T_i = nh·T_cycle without jitter gives L = nh·T_cycle).
+//
+// Busy-period short-circuit. The busy period is returned as unbounded at
+// once when the double sum u = Σ_i T_cycle/T_i exceeds 1 + 1e-9 — more than
+// the sum's rounding (about n·2⁻⁵³ for n terms) can explain, so the exact u
+// exceeds 1 too. The exact iteration then provably diverges: ⌈(L+J_i)/T_i⌉
+// >= L/T_i gives L_{n+1} >= u·L_n > L_n from L⁰ = nh·T_cycle > 0, so it
+// never repeats and ends in saturation or fuel exhaustion — kNoBound either
+// way, for every fuel. At u = 1 exactly, and within the margin, the
+// iteration runs as before. edf_busy_periods, analyze_edf and
+// edf_schedulable share this one function.
 //
 // As with DM, R_i is measured from AP-queue insertion; g/J_i belong to the
 // end-to-end bound of §4.2.
@@ -33,8 +44,9 @@
 // each master once per call into a padded SoA view (TaskSetArena, owned by
 // AnalysisScratch) and runs each offset's fixed point through core's
 // edf_offset_fixed_point — the vector kernel when the view passes its gate
-// (every T_j >= T_cycle among others), the scalar recurrence otherwise. What is network-specific lives in the kernel's `base`
-// argument, T*_cycle(a) + ⌊a/T_i⌋·T_cycle, and in eq. 17's fold.
+// (every T_j >= T_cycle among others), the scalar recurrence otherwise.
+// What is network-specific lives in the kernel's `base` argument,
+// T*_cycle(a) + ⌊a/T_i⌋·T_cycle, and in eq. 17's fold.
 // T*_cycle(a) costs O(1): stream i's own D_i − J_i never exceeds a + D_i,
 // so the master-wide max_j(D_j − J_j) decides it for every stream.
 //
@@ -53,6 +65,9 @@
 // valid seed, and iterating from it reaches the same least fixed point L(a)
 // in no more iterations. Every converged L is exact — kernel or scalar — so
 // it seeds the next offset on either path, and no reset is needed.
+//
+// The scan is one function shared by analyze_edf and edf_schedulable; the
+// verdict asks it to stop at the first offset whose response exceeds D_i.
 //
 // Fuel caveat. A warm seed converges in fewer iterations than the cold
 // iteration from 0. Results are identical to the cold analysis wherever the
@@ -81,7 +96,8 @@ struct EdfStreamDetail {
 
 /// Per-master synchronous busy period under one-T_cycle-per-request service
 /// (the offset-candidate horizon of eq. 10): L = Σ_i ⌈(L + J_i)/T_i⌉·T_cycle.
-/// kNoBound where the iteration diverges (token supply < request demand).
+/// kNoBound where the iteration diverges (token supply < request demand),
+/// at once where u > 1 + 1e-9 (the busy-period short-circuit above).
 [[nodiscard]] std::vector<Ticks> edf_busy_periods(const Network& net, const TimingMemo& memo,
                                                   int fuel = 1 << 16);
 
@@ -93,5 +109,24 @@ struct EdfStreamDetail {
     const Network& net, const TimingMemo& memo,
     std::vector<std::vector<EdfStreamDetail>>* detail = nullptr, int fuel = 1 << 16,
     const std::vector<Ticks>* busy = nullptr, AnalysisScratch* scratch = nullptr);
+
+/// Verdict-only form: exactly analyze_edf(net, memo, nullptr, fuel)
+/// .schedulable, computed with only the work that decides it and without
+/// allocating in steady state (offsets and arena come from `scratch`, and no
+/// NetworkAnalysis is built; the scratch's offset counter is left alone).
+/// Three cuts, all exact:
+///  * Saturated masters. A master whose busy period is unbounded — up front
+///    when u > 1 + 1e-9, see above — fails before any offset is scanned.
+///  * First-miss scan. Each stream's warm offset scan returns at the first
+///    offset whose response exceeds D_i or whose fixed point does not
+///    converge; the full analysis reports that stream as missing too, since
+///    its response is the maximum over the offsets.
+///  * First-miss exit. The verdict is false at the first missing stream.
+/// Fuel contract: the busy period and every offset's fixed point get the
+/// same `fuel` as in the full analysis, and the scan replays the full scan's
+/// offsets and warm seeds up to the cut, so the verdict agrees with the full
+/// analysis for every fuel.
+[[nodiscard]] bool edf_schedulable(const Network& net, const TimingMemo& memo, int fuel,
+                                   AnalysisScratch& scratch);
 
 }  // namespace profisched::profibus

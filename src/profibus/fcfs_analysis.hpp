@@ -65,4 +65,8 @@ struct AnalysisScratch {
 /// of re-deriving T_del / T_cycle for this call.
 [[nodiscard]] NetworkAnalysis analyze_fcfs(const Network& net, const TimingMemo& memo);
 
+/// Verdict-only form: exactly analyze_fcfs(net, memo).schedulable, false at
+/// the first missing stream, with no NetworkAnalysis built.
+[[nodiscard]] bool fcfs_schedulable(const Network& net, const TimingMemo& memo);
+
 }  // namespace profisched::profibus

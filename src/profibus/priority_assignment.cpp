@@ -12,12 +12,7 @@ namespace profisched::profibus {
 NetworkOrders deadline_monotonic_orders(const Network& net) {
   NetworkOrders orders(net.n_masters());
   for (std::size_t k = 0; k < net.n_masters(); ++k) {
-    StreamOrder& order = orders[k];
-    order.resize(net.masters[k].nh());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::ranges::stable_sort(order, [&](std::size_t a, std::size_t b) {
-      return net.masters[k].high_streams[a].D < net.masters[k].high_streams[b].D;
-    });
+    detail::deadline_monotonic_order(net.masters[k], orders[k]);
   }
   return orders;
 }
@@ -51,7 +46,8 @@ NetworkAnalysis analyze_fixed_priority(const Network& net, const NetworkOrders& 
     ma.streams.resize(master.nh());
     for (std::size_t rank = 0; rank < orders[k].size(); ++rank) {
       const std::size_t i = orders[k][rank];
-      ma.streams[i] = detail::fp_stream_response(master, orders[k], rank, tc[k], form, fuel);
+      ma.streams[i] = detail::fp_stream_response(master, orders[k], rank, tc[k], form, fuel,
+                                                 kNoBound);
       if (!ma.streams[i].meets_deadline) ma.schedulable = false;
     }
     if (!ma.schedulable) out.schedulable = false;
@@ -72,20 +68,25 @@ std::optional<StreamOrder> opa_master(const Master& master, Ticks tcycle, Formul
   std::vector<std::size_t> unassigned(master.nh());
   std::iota(unassigned.begin(), unassigned.end(), std::size_t{0});
   StreamOrder reversed;  // lowest level first
+  std::vector<std::size_t> order;
 
   while (!unassigned.empty()) {
     bool placed = false;
     for (std::size_t pos = 0; pos < unassigned.size(); ++pos) {
       // Evaluate candidate at the lowest remaining level: higher-priority
       // set = all other unassigned; lower-priority = already placed.
-      std::vector<std::size_t> order = unassigned;
+      order.assign(unassigned.begin(), unassigned.end());
       std::rotate(order.begin() + static_cast<std::ptrdiff_t>(pos),
                   order.begin() + static_cast<std::ptrdiff_t>(pos) + 1, order.end());
       // `order` now has the candidate last among the unassigned; append the
       // already-placed (lower) streams below it so blocking applies.
       for (auto it = reversed.rbegin(); it != reversed.rend(); ++it) order.push_back(*it);
       const std::size_t rank = unassigned.size() - 1;
-      const StreamResponse r = detail::fp_stream_response(master, order, rank, tcycle, form, fuel);
+      // Only the verdict is read, so the candidate's deadline bounds the
+      // iteration (exact; see fp_stream_response).
+      const Ticks deadline = master.high_streams[order[rank]].D;
+      const StreamResponse r =
+          detail::fp_stream_response(master, order, rank, tcycle, form, fuel, deadline);
       if (r.meets_deadline) {
         reversed.push_back(order[rank]);
         unassigned.erase(std::ranges::find(unassigned, order[rank]));

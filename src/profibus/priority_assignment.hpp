@@ -44,6 +44,20 @@ using NetworkOrders = std::vector<StreamOrder>;
 /// Audsley's OPA at the message level: per master, find some priority order
 /// under which every stream meets its deadline (eq.-16 analysis), bottom-up.
 /// Returns std::nullopt if no fixed order schedules some master.
+///
+/// has_value() is the OPA verdict: whenever orders exist,
+/// analyze_fixed_priority(net, *orders, …) with the same timing, formulation
+/// and fuel is schedulable. Proof: the stream placed at each level was
+/// accepted with exactly the streams left unassigned above it — the
+/// higher-priority set it has in the returned order — and with the
+/// already-placed streams below it, so blocking applies iff it does in the
+/// returned order. fp_stream_response reads the order only through that set
+/// (its start w⁰ counts the set's size, and its saturating interference sum
+/// does not depend on summation order) and through whether lower-priority
+/// streams exist. The re-run therefore repeats each accepted fixed point
+/// iteration for iteration, under the same fuel, and every stream meets its
+/// deadline. The deadline ceiling OPA passes changes no meets_deadline.
+/// The optimizer's OPA probe relies on this and skips the re-run.
 [[nodiscard]] std::optional<NetworkOrders> audsley_stream_orders(
     const Network& net, TcycleMethod method = TcycleMethod::PaperEq13,
     Formulation form = Formulation::PaperLiteral, int fuel = 1 << 16);

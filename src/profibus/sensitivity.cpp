@@ -5,9 +5,7 @@
 namespace profisched::profibus {
 
 NetworkTest network_test_for(ApPolicy policy, TcycleMethod method) {
-  return [policy, method](const Network& net) {
-    return analyze_network(net, policy, method).schedulable;
-  };
+  return [policy, method](const Network& net) { return schedulable(net, policy, method); };
 }
 
 Network with_scaled_frames(const Network& net, Ticks q1024) {

@@ -22,7 +22,9 @@ namespace profisched::profibus {
 /// A predicate deciding schedulability of a (modified) network.
 using NetworkTest = std::function<bool(const Network&)>;
 
-/// Standard test for a policy under a T_cycle method, as a reusable predicate.
+/// Standard test for a policy under a T_cycle method, as a reusable predicate:
+/// the verdict-only profibus::schedulable, equal to
+/// analyze_network(net, policy, method).schedulable.
 [[nodiscard]] NetworkTest network_test_for(ApPolicy policy,
                                            TcycleMethod method = TcycleMethod::PaperEq13);
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "opt/opt_aggregate.hpp"
+#include "opt/opt_cli.hpp"
 #include "opt/optimizer.hpp"
 
 namespace profisched::opt {
@@ -17,6 +18,9 @@ namespace {
 
 constexpr const char* kCsvGolden = "tests/golden/optimize_pr6.csv";
 constexpr const char* kJsonGolden = "tests/golden/optimize_pr6.json";
+/// Written by the full-analysis probes; the verdict-only probes must match.
+constexpr const char* kSatCsvGolden = "tests/golden/optimize_sat.csv";
+constexpr const char* kSatJsonGolden = "tests/golden/optimize_sat.json";
 
 OptimizeSpec golden_spec() {
   OptimizeSpec spec;
@@ -57,6 +61,28 @@ TEST(OptimizeGolden, JsonMatches) {
   const OptimizeSpec spec = golden_spec();
   engine::SweepRunner runner(2);
   check_golden(kJsonGolden, aggregate_optimize(spec, run_optimize(runner, spec)).to_json());
+}
+
+/// The saturated grid: u up to 1.2 and all four policies, so the bisections
+/// probe far past breakdown (saturated masters, DM fixed points above their
+/// deadlines, EDF scans that miss early).
+OptimizeSpec saturated_spec() {
+  OptimizeCli cli;
+  std::string error;
+  const bool ok = parse_optimize_args({"--masters", "2", "--streams", "8", "--u", "0.5:1.2:4",
+                                       "--policies", "fcfs,dm,edf,opa", "--scenarios", "30",
+                                       "--seed", "11"},
+                                      cli, error);
+  EXPECT_TRUE(ok) << error;
+  return cli.spec;
+}
+
+TEST(OptimizeGolden, SaturatedCsvAndJsonMatch) {
+  const OptimizeSpec spec = saturated_spec();
+  engine::SweepRunner runner(2);
+  const OptimizeTable table = aggregate_optimize(spec, run_optimize(runner, spec));
+  check_golden(kSatCsvGolden, table.to_csv());
+  check_golden(kSatJsonGolden, table.to_json());
 }
 
 }  // namespace
