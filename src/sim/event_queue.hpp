@@ -1,24 +1,31 @@
 // event_queue.hpp — the simulator's time-ordered event queue.
 //
-// A binary min-heap keyed on (time, sequence number). ORDERING INVARIANT:
-// the sequence number makes same-instant events fire in scheduling order,
-// which keeps runs deterministic regardless of heap tie-breaking — every
-// comparison below goes through (time, seq) and nothing else.
+// A binary min-heap keyed on (time, sequence number), fronted by a one-entry
+// slot. ORDERING INVARIANT: the sequence number makes same-instant events
+// fire in scheduling order, which keeps runs deterministic regardless of heap
+// tie-breaking — every comparison below goes through (time, seq) and nothing
+// else.
+//
+// Front slot: schedule() puts a new entry in the slot when it precedes both
+// the slot's entry and the heap's top, pushing a displaced slot entry into
+// the heap; pop() and next_time() read the slot first, so the simulator's
+// token chain (each hand-off schedules the next TokenArrival, due before all
+// else) never sifts the heap. Firing order stays exactly (time, seq): an entry
+// takes the slot only by preceding everything pending, else it joins the heap
+// behind the slot, so pop() always removes the global minimum. Keys are
+// unique, so the pop order — and with it the free-list order, recycled() and
+// pool_high_water() — is a plain heap's.
 //
 // Pooled storage: the heap itself holds only 24-byte (time, seq, slot)
 // entries, so sift operations move small trivially-copyable records; the
 // payloads live beside it in a slot pool whose freed slots are recycled
 // through a free list. Once the pool reaches the run's high-water mark,
-// schedule()/pop() no longer touch the allocator — the property that
-// replaced the seed-era queue, which heap-allocated a std::function per
-// event (and popped via the const_cast idiom; owning the heap vector
-// directly makes pop() a plain std::pop_heap + move).
+// schedule()/pop() no longer touch the allocator.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -34,8 +41,8 @@ struct BasicEvent {
   Payload payload{};
 };
 
-/// Min-heap of Payload values ordered by (time, seq), with pooled payload
-/// slots. Payload only needs to be movable.
+/// Min-heap of Payload values ordered by (time, seq), with a front slot and
+/// pooled payload slots. Payload only needs to be movable.
 template <class Payload>
 class BasicEventQueue {
  public:
@@ -51,12 +58,20 @@ class BasicEventQueue {
       pool_[slot] = std::move(payload);
       ++recycled_;
     }
-    heap_.push_back(Entry{at, next_seq_++, slot});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    const Entry e{at, next_seq_++, slot};
+    const bool first =
+        has_front_ ? Later{}(front_, e) : heap_.empty() || Later{}(heap_.front(), e);
+    if (!first) {
+      push_heap(e);
+      return;
+    }
+    if (has_front_) push_heap(front_);  // the displaced slot entry sinks
+    front_ = e;
+    has_front_ = true;
   }
 
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return !has_front_ && heap_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size() + (has_front_ ? 1 : 0); }
 
   /// Pool slots reused from the free list (vs freshly grown) — how much of
   /// the pooling actually paid off; surfaced in the telemetry sidecar.
@@ -67,16 +82,23 @@ class BasicEventQueue {
 
   /// Time of the earliest pending event (kNoBound when empty).
   [[nodiscard]] Ticks next_time() const noexcept {
+    if (has_front_) return front_.time;
     return heap_.empty() ? kNoBound : heap_.front().time;
   }
 
   /// Remove and return the earliest event; its slot returns to the free
   /// list. Precondition: !empty().
   [[nodiscard]] BasicEvent<Payload> pop() {
-    assert(!heap_.empty());
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Entry e = heap_.back();
-    heap_.pop_back();
+    assert(!empty());
+    Entry e;
+    if (has_front_) {
+      e = front_;
+      has_front_ = false;
+    } else {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      e = heap_.back();
+      heap_.pop_back();
+    }
     BasicEvent<Payload> out{e.time, e.seq, std::move(pool_[e.slot])};
     free_.push_back(e.slot);
     return out;
@@ -96,40 +118,18 @@ class BasicEventQueue {
     }
   };
 
+  void push_heap(const Entry& e) {
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+
+  Entry front_{};  ///< the earliest entry, when has_front_
+  bool has_front_ = false;
   std::vector<Entry> heap_;
   std::vector<Payload> pool_;
   std::vector<std::uint32_t> free_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t recycled_ = 0;
-};
-
-/// A scheduled callback — the generic (type-erased) event surface.
-struct Event {
-  Ticks time = 0;
-  std::uint64_t seq = 0;
-  std::function<void()> action;
-};
-
-/// The generic queue: callbacks as payloads. Hot simulators (network_sim)
-/// use BasicEventQueue over a small tag-dispatched payload instead, which
-/// avoids a std::function per event entirely.
-class EventQueue {
- public:
-  /// Schedule `action` at absolute time `at`.
-  void schedule(Ticks at, std::function<void()> action) { q_.schedule(at, std::move(action)); }
-
-  [[nodiscard]] bool empty() const noexcept { return q_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return q_.size(); }
-  [[nodiscard]] Ticks next_time() const noexcept { return q_.next_time(); }
-
-  /// Remove and return the earliest event. Precondition: !empty().
-  [[nodiscard]] Event pop() {
-    BasicEvent<std::function<void()>> e = q_.pop();
-    return Event{e.time, e.seq, std::move(e.payload)};
-  }
-
- private:
-  BasicEventQueue<std::function<void()>> q_;
 };
 
 }  // namespace profisched::sim

@@ -2,10 +2,8 @@
 // event queue. Components schedule continuations against the kernel; the
 // kernel advances time to each event in order until the horizon.
 //
-// BasicKernel<Payload> is the pooled, tag-dispatched form: events are plain
-// values and run_until takes the handler that interprets them — no
-// allocation per event. Kernel is the generic std::function surface the
-// tests and ad-hoc users keep.
+// Events are plain Payload values and run_until takes the handler that
+// interprets them — no allocation per event.
 #pragma once
 
 #include <stdexcept>
@@ -61,14 +59,6 @@ class BasicKernel {
   Ticks now_ = 0;
   std::uint64_t processed_ = 0;
   BasicEventQueue<Payload> queue_;
-};
-
-/// Generic kernel: callback payloads, invoked directly.
-class Kernel : public BasicKernel<std::function<void()>> {
- public:
-  std::uint64_t run_until(Ticks horizon) {
-    return BasicKernel::run_until(horizon, [](std::function<void()>& action) { action(); });
-  }
 };
 
 }  // namespace profisched::sim

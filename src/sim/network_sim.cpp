@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace profisched::sim {
 
@@ -42,7 +43,7 @@ struct SimEvent {
     HpGenStep,     ///< release generator of (master, stream) at nominal t0
     HpRelease,     ///< jitter-delayed release of (master, stream)
     LpRelease,     ///< LP generator of master, lp-config index `stream`, at t0
-    HpCycleEnd,    ///< HP cycle of `req` completes; t0 = tth_expiry, t1 = visit_start
+    HpCycleEnd,    ///< HP cycle of dispatcher.head() completes; t0 = tth_expiry, t1 = visit_start
     LpCycleEnd,    ///< LP cycle completes; t0 = tth_expiry, t1 = visit_start
     Rejoin,        ///< churned `master` re-enters the ring
   };
@@ -54,7 +55,6 @@ struct SimEvent {
   std::uint32_t stream = 0;
   Ticks t0 = 0;
   Ticks t1 = 0;
-  PendingRequest req{};  ///< HpCycleEnd only
 };
 
 /// The whole simulation; wires the kernel, the masters and the generators.
@@ -68,8 +68,11 @@ std::uint64_t fault_stream_seed(std::uint64_t seed) {
 
 class Simulation {
  public:
-  explicit Simulation(const SimConfig& cfg)
-      : cfg_(cfg), rng_(cfg.seed), frng_(fault_stream_seed(cfg.seed)) {
+  explicit Simulation(SimConfig cfg)
+      : cfg_(std::move(cfg)),
+        rng_(cfg_.seed),
+        frng_(fault_stream_seed(cfg_.seed)),
+        token_pass_(profibus::token_pass_time(cfg_.net.bus)) {
     cfg_.net.validate();
     cfg_.faults.validate();
     if (cfg_.horizon < 1) throw std::invalid_argument("SimConfig: horizon must be >= 1");
@@ -132,16 +135,19 @@ class Simulation {
         break;
       }
       case SimEvent::Kind::HpCycleEnd: {
+        // The request in service is still the head: the stack slot is never
+        // revoked, and a master leaves the ring only in pass_token.
         MasterState& mm = masters_[k];
-        StreamStats& st = mm.streams[e.req.stream];
+        const PendingRequest& req = mm.dispatcher.head();
+        StreamStats& st = mm.streams[req.stream];
         if (e.dropped) {
           ++st.dropped;
-          trace(TraceKind::CycleDropped, k, e.req.stream, 0);
+          trace(TraceKind::CycleDropped, k, req.stream, 0);
         } else {
-          const Ticks response = kernel_.now() - e.req.release;
-          st.record_completion(response, cfg_.net.masters[k].high_streams[e.req.stream].D);
-          if (!mm.hist.empty()) mm.hist[e.req.stream].add(response);
-          trace(TraceKind::CycleEnd, k, e.req.stream, response);
+          const Ticks response = kernel_.now() - req.release;
+          st.record_completion(response, cfg_.net.masters[k].high_streams[req.stream].D);
+          if (!mm.hist.empty()) mm.hist[req.stream].add(response);
+          trace(TraceKind::CycleEnd, k, req.stream, response);
         }
         mm.dispatcher.complete_head();
         token_phase(k, e.t0, e.phase, e.t1);
@@ -286,7 +292,7 @@ class Simulation {
 
   void start_hp_cycle(std::size_t k, Ticks tth_expiry, Phase next_phase, Ticks visit_start) {
     MasterState& m = masters_[k];
-    const PendingRequest req = m.dispatcher.head();
+    const PendingRequest& req = m.dispatcher.head();
     const MessageStream& s = cfg_.net.masters[k].high_streams[req.stream];
 
     bool dropped = false;
@@ -299,8 +305,7 @@ class Simulation {
                                 .dropped = dropped,
                                 .master = static_cast<std::uint32_t>(k),
                                 .t0 = tth_expiry,
-                                .t1 = visit_start,
-                                .req = req});
+                                .t1 = visit_start});
   }
 
   void start_lp_cycle(std::size_t k, Ticks tth_expiry, Ticks visit_start) {
@@ -338,13 +343,12 @@ class Simulation {
       leave_ring(k);
     }
 
-    const Ticks pass = profibus::token_pass_time(cfg_.net.bus);
-    Ticks dur = pass;
+    Ticks dur = token_pass_;
     std::size_t next = (k + 1) % masters_.size();
     while (!masters_[next].online) {
       // Offline successor: the pass times out after one slot time and the
       // token is re-addressed to the following station.
-      dur = sat_add(dur, sat_add(cfg_.net.bus.t_sl, pass));
+      dur = sat_add(dur, sat_add(cfg_.net.bus.t_sl, token_pass_));
       ++faults_.token_skips;
       trace(TraceKind::TokenSkip, next, SIZE_MAX, 0);
       notify(FaultKind::TokenSkip, next, SIZE_MAX, 0);
@@ -479,6 +483,7 @@ class Simulation {
   /// stay byte-identical) and enabling one knob never shifts another's draws
   /// relative to the main traffic.
   Rng frng_;
+  const Ticks token_pass_;  ///< profibus::token_pass_time(bus), fixed per run
   FaultStats faults_;
   BasicKernel<SimEvent> kernel_;
   std::vector<MasterState> masters_;
@@ -492,6 +497,6 @@ class Simulation {
 
 }  // namespace
 
-SimReport simulate(const SimConfig& cfg) { return Simulation(cfg).run(); }
+SimReport simulate(SimConfig cfg) { return Simulation(std::move(cfg)).run(); }
 
 }  // namespace profisched::sim

@@ -31,6 +31,10 @@
 //                    with per-attempt slave failures triggering retries up to
 //                    bus.max_retry (never exceeding the worst-case Ch by
 //                    construction). Requires per-stream frame specs.
+//
+// Most events are token hand-offs to idle stations. Each is due before any
+// pending release, so it takes the event queue's front slot and skips the
+// heap — without changing the (time, seq) firing order (event_queue.hpp).
 #pragma once
 
 #include <optional>
@@ -106,11 +110,12 @@ struct SimConfig {
 /// Run one simulation; returns the collected statistics.
 ///
 /// Re-entrant: each call builds a private Simulation (kernel, dispatchers,
-/// RNG, stats) from a copy of `cfg`, and nothing in src/sim/ touches global
-/// mutable state, so concurrent calls — the engine's parallel simulation
-/// sweeps — are safe and bit-identical to serial runs with the same seed
-/// (regression: tests/sim/test_concurrent_sim.cpp). The optional `cfg.trace`
-/// sink is the one shared-state hatch: give each concurrent run its own.
-[[nodiscard]] SimReport simulate(const SimConfig& cfg);
+/// RNG, stats) that takes over `cfg` (pass a temporary to skip the copy),
+/// and nothing in src/sim/ touches global mutable state, so concurrent calls
+/// — the engine's parallel simulation sweeps — are safe and bit-identical to
+/// serial runs with the same seed (regression: tests/sim/test_concurrent_sim.cpp).
+/// The optional `cfg.trace` sink is the one shared-state hatch: give each
+/// concurrent run its own.
+[[nodiscard]] SimReport simulate(SimConfig cfg);
 
 }  // namespace profisched::sim

@@ -7,7 +7,11 @@
 //    than the fault-free ones somewhere (injection is not a no-op);
 //  * faulted results are bit-identical for every thread count;
 //  * the fault knobs are folded into the cache digest: warm faulted reruns
-//    replay exactly, and a zero-fault run never collides with a faulted one.
+//    replay exactly, and a zero-fault run never collides with a faulted one;
+//  * on every run of the benchmark's faulted mix, a SimListener sees exactly
+//    the faults FaultStats counts, in time order and inside the horizon
+//    (after adevs test3, where the listener's clock must track the kernel's).
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
@@ -15,7 +19,10 @@
 
 #include "dist/result_cache.hpp"
 #include "engine/sim_aggregate.hpp"
+#include "engine/sim_cli.hpp"
 #include "engine/sweep_runner.hpp"
+#include "sim/trace.hpp"
+#include "../support/counting_listener.hpp"
 
 namespace profisched::engine {
 namespace {
@@ -184,6 +191,72 @@ TEST(FaultSweep, FaultKnobsAreFoldedIntoTheCacheDigest) {
   // The clean rerun through the cache carries no degraded columns.
   EXPECT_TRUE(c2.outcomes[0].degraded_schedulable.empty());
   EXPECT_FALSE(f2.outcomes[0].degraded_schedulable.empty());
+}
+
+TEST(FaultSweep, ListenerAgreesWithFaultStatsOnEveryFaultedRun) {
+  // The fault mix of the combined_faulted benchmark workload.
+  SimSweepCli cli;
+  std::string error;
+  ASSERT_TRUE(parse_sim_sweep_args(
+      {"--masters", "3", "--streams", "4", "--u", "0.3:0.9:4", "--scenarios", "25", "--faults",
+       "loss=0.02,recovery=800,corrupt=0.05,retrans=2,churn=0.01,offline=5000,burst=0.7"},
+      cli, error))
+      << error;
+  const SimulationEngine engine(cli.spec.sim);
+  const SweepSpec& sweep = cli.spec.sweep;
+  std::uint64_t runs = 0;
+  sim::FaultStats seen;
+  for (std::uint64_t id = 0; id < sweep.total_scenarios(); ++id) {
+    const Scenario sc = SweepRunner::make_scenario(sweep, id);
+    for (const Policy policy : sweep.policies) {
+      for (const std::uint64_t rep : {0u, 1u}) {
+        SCOPED_TRACE(testing::Message() << "scenario " << id << " policy "
+                                        << static_cast<int>(policy) << " rep " << rep);
+        sim::SimConfig cfg = engine.make_config(sc, policy, rep);
+        test_support::CountingListener listener;
+        sim::Trace trace(1 << 20);
+        cfg.listener = &listener;
+        cfg.trace = &trace;
+        const Ticks horizon = cfg.horizon;
+        const sim::SimReport r = sim::simulate(std::move(cfg));
+        ++runs;
+
+        using sim::FaultKind;
+        EXPECT_EQ(listener.count(FaultKind::TokenLost), r.faults.tokens_lost);
+        EXPECT_EQ(listener.count(FaultKind::TokenSkip), r.faults.token_skips);
+        EXPECT_EQ(listener.count(FaultKind::StationLeft), r.faults.leaves);
+        EXPECT_EQ(listener.count(FaultKind::StationRejoined), r.faults.rejoins);
+        EXPECT_EQ(listener.count(FaultKind::FrameCorrupted), r.faults.corrupted_cycles);
+        EXPECT_EQ(listener.count(FaultKind::ChurnDrop), r.faults.churn_dropped);
+        Ticks retransmissions = 0;
+        Ticks last = 0;
+        for (const sim::FaultEvent& e : listener.events) {
+          if (e.kind == FaultKind::FrameCorrupted) retransmissions += e.detail;
+          EXPECT_GE(e.time, last);
+          EXPECT_LE(e.time, horizon);
+          last = e.time;
+        }
+        EXPECT_EQ(static_cast<std::uint64_t>(retransmissions), r.faults.retransmissions);
+
+        ASSERT_EQ(trace.dropped(), 0u);
+        std::uint64_t visits = 0;
+        for (const sim::TokenStats& t : r.token) visits += t.visits;
+        EXPECT_EQ(visits, static_cast<std::uint64_t>(std::count_if(
+                              trace.events().begin(), trace.events().end(),
+                              [](const sim::TraceEvent& e) {
+                                return e.kind == sim::TraceKind::TokenArrival;
+                              })));
+        seen.tokens_lost += r.faults.tokens_lost;
+        seen.leaves += r.faults.leaves;
+        seen.corrupted_cycles += r.faults.corrupted_cycles;
+      }
+    }
+  }
+  EXPECT_GE(runs, 200u);
+  // The mix is live: every injected fault class fired somewhere.
+  EXPECT_GT(seen.tokens_lost, 0u);
+  EXPECT_GT(seen.leaves, 0u);
+  EXPECT_GT(seen.corrupted_cycles, 0u);
 }
 
 }  // namespace

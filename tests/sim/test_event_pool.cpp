@@ -10,7 +10,7 @@
 //    (regenerate deliberately with PROFISCHED_REGEN_GOLDEN=1).
 #include <cstdlib>
 #include <fstream>
-#include <functional>
+#include <functional>  // std::greater
 #include <queue>
 #include <sstream>
 #include <string>
@@ -28,6 +28,7 @@ namespace profisched::sim {
 namespace {
 
 constexpr const char* kGoldenPath = "tests/golden/sim_trace_pr4.txt";
+constexpr const char* kFaultedGoldenPath = "tests/golden/sim_trace_faulted.txt";
 
 // ------------------------------------------------------------ queue level
 
@@ -64,35 +65,32 @@ class ReferenceQueue {
 TEST(EventPool, RandomizedInterleavingsMatchReferenceHeap) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
-    EventQueue q;
+    BasicEventQueue<int> q;
     ReferenceQueue ref;
     int next_id = 0;
-    int last_popped = -1;
 
     for (int step = 0; step < 2000; ++step) {
       const bool push = q.empty() || rng.chance(0.55);
       if (push) {
         const Ticks at = rng.uniform(0, 50);  // dense times force seq tie-breaks
         const int id = next_id++;
-        q.schedule(at, [id, &last_popped] { last_popped = id; });
+        q.schedule(at, id);
         ref.schedule(at, id);
       } else {
         ASSERT_EQ(q.next_time(), ref.next_time());
-        const Event e = q.pop();
+        const BasicEvent<int> e = q.pop();
         const ReferenceQueue::Popped r = ref.pop();
-        e.action();
         ASSERT_EQ(e.time, r.time);
         ASSERT_EQ(e.seq, r.seq);
-        ASSERT_EQ(last_popped, r.id);
+        ASSERT_EQ(e.payload, r.id);
       }
     }
     while (!q.empty()) {
-      const Event e = q.pop();
+      const BasicEvent<int> e = q.pop();
       const ReferenceQueue::Popped r = ref.pop();
-      e.action();
       ASSERT_EQ(e.time, r.time);
       ASSERT_EQ(e.seq, r.seq);
-      ASSERT_EQ(last_popped, r.id);
+      ASSERT_EQ(e.payload, r.id);
     }
     ASSERT_TRUE(ref.empty());
   }
@@ -101,11 +99,11 @@ TEST(EventPool, RandomizedInterleavingsMatchReferenceHeap) {
 TEST(EventPool, SlotRecyclingSurvivesInterleavedChurn) {
   // Drain-and-refill cycles exercise the free list: after the first cycle no
   // schedule() should need fresh slots.
-  EventQueue q;
+  BasicEventQueue<int> q;
   Ticks t = 0;
   std::vector<Ticks> popped;
   for (int cycle = 0; cycle < 50; ++cycle) {
-    for (int i = 0; i < 32; ++i) q.schedule(t + (i * 7) % 13, [] {});
+    for (int i = 0; i < 32; ++i) q.schedule(t + (i * 7) % 13, i);
     while (!q.empty()) popped.push_back(q.pop().time);
     t += 13;
   }
@@ -242,22 +240,36 @@ TEST(EventPool, FaultedSameTickEventsStayDeterministic) {
   EXPECT_NE(faulted_render(3), faulted_render(23));
 }
 
-TEST(EventPool, SeededTracesMatchPreReworkGolden) {
-  const std::string got = full_corpus();
+/// Compare `got` byte-for-byte against the committed golden at `path`, or
+/// rewrite the golden when PROFISCHED_REGEN_GOLDEN is set.
+void expect_matches_golden(const char* path, const std::string& got) {
   if (std::getenv("PROFISCHED_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(kGoldenPath, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
     out << got;
-    GTEST_SKIP() << "regenerated " << kGoldenPath;
+    GTEST_SKIP() << "regenerated " << path;
   }
-  std::ifstream in(kGoldenPath, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing " << kGoldenPath
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << path
                          << " (run with PROFISCHED_REGEN_GOLDEN=1 to create)";
   std::ostringstream want;
   want << in.rdbuf();
-  // Byte-identical: the pooled queue must not change event order, RNG draw
-  // order, or any observable statistic.
+  // Byte-identical: the queue must not change event order, RNG draw order,
+  // or any observable statistic.
   ASSERT_EQ(got, want.str());
+}
+
+TEST(EventPool, SeededTracesMatchPreReworkGolden) {
+  expect_matches_golden(kGoldenPath, full_corpus());
+}
+
+// The faulted runs locked to bytes written before the event queue gained its
+// front slot: recovery-delayed token arrivals, rejoins and corrupted cycles
+// share ticks with regular events, so any reordering shows up here.
+TEST(EventPool, FaultedTracesMatchGolden) {
+  std::string got;
+  for (const std::uint64_t seed : {3u, 23u, 71u}) got += faulted_render(seed);
+  expect_matches_golden(kFaultedGoldenPath, got);
 }
 
 }  // namespace

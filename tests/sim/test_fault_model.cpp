@@ -12,6 +12,7 @@
 #include "profibus/fault_model.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/trace.hpp"
+#include "../support/counting_listener.hpp"
 
 namespace profisched::sim {
 namespace {
@@ -63,16 +64,7 @@ std::string render_run(SimConfig cfg) {
   return out.str();
 }
 
-/// Counts every observer callback per kind, for cross-checking FaultStats.
-struct CountingListener final : SimListener {
-  std::vector<FaultEvent> events;
-  void on_fault(const FaultEvent& e) override { events.push_back(e); }
-  [[nodiscard]] std::size_t count(FaultKind k) const {
-    std::size_t n = 0;
-    for (const FaultEvent& e : events) n += e.kind == k ? 1 : 0;
-    return n;
-  }
-};
+using test_support::CountingListener;
 
 TEST(FaultModel, ValidateRejectsBadKnobs) {
   const auto bad = [](auto&& mutate) {
@@ -156,7 +148,9 @@ TEST(FaultModel, CorruptionStretchesCyclesAndCountsRetransmissions) {
   EXPECT_EQ(r.faults.retransmissions, r.faults.corrupted_cycles * 3);
   EXPECT_EQ(listener.count(FaultKind::FrameCorrupted), r.faults.corrupted_cycles);
   for (const FaultEvent& e : listener.events) {
-    if (e.kind == FaultKind::FrameCorrupted) EXPECT_EQ(e.detail, 3);
+    if (e.kind == FaultKind::FrameCorrupted) {
+      EXPECT_EQ(e.detail, 3);
+    }
   }
   // A (1+3)x stretched 500-tick cycle must show up in observed responses.
   const SimReport clean = simulate(base_config(1, 150'000));
@@ -179,7 +173,9 @@ TEST(FaultModel, ChurnTakesStationsOfflineAndBack) {
   EXPECT_EQ(listener.count(FaultKind::TokenSkip), r.faults.token_skips);
   // Master 0 anchors the ring: it never leaves.
   for (const FaultEvent& e : listener.events) {
-    if (e.kind == FaultKind::StationLeft) EXPECT_NE(e.master, 0u);
+    if (e.kind == FaultKind::StationLeft) {
+      EXPECT_NE(e.master, 0u);
+    }
   }
   // Releases while offline are dropped, not missed: they must be accounted.
   EXPECT_EQ(listener.count(FaultKind::ChurnDrop), r.faults.churn_dropped);

@@ -1,10 +1,20 @@
 // Unit tests for the simulation kernel.
 #include "sim/kernel.hpp"
 
+#include <functional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace profisched::sim {
 namespace {
+
+// Callback payloads make the kernel's ordering directly observable.
+using Kernel = BasicKernel<std::function<void()>>;
+
+std::uint64_t run(Kernel& k, Ticks horizon) {
+  return k.run_until(horizon, [](std::function<void()>& action) { action(); });
+}
 
 TEST(Kernel, ClockStartsAtZero) {
   Kernel k;
@@ -17,7 +27,7 @@ TEST(Kernel, AdvancesToEventTimes) {
   std::vector<Ticks> seen;
   k.at(10, [&] { seen.push_back(k.now()); });
   k.at(25, [&] { seen.push_back(k.now()); });
-  k.run_until(100);
+  run(k, 100);
   EXPECT_EQ(seen, (std::vector<Ticks>{10, 25}));
   EXPECT_EQ(k.now(), 25);
 }
@@ -26,7 +36,7 @@ TEST(Kernel, AfterIsRelativeToNow) {
   Kernel k;
   Ticks completion = -1;
   k.at(10, [&] { k.after(5, [&] { completion = k.now(); }); });
-  k.run_until(100);
+  run(k, 100);
   EXPECT_EQ(completion, 15);
 }
 
@@ -35,7 +45,7 @@ TEST(Kernel, HorizonIsInclusive) {
   bool at_horizon = false, past_horizon = false;
   k.at(50, [&] { at_horizon = true; });
   k.at(51, [&] { past_horizon = true; });
-  k.run_until(50);
+  run(k, 50);
   EXPECT_TRUE(at_horizon);
   EXPECT_FALSE(past_horizon);
 }
@@ -43,8 +53,8 @@ TEST(Kernel, HorizonIsInclusive) {
 TEST(Kernel, ReturnsEventsProcessed) {
   Kernel k;
   for (Ticks t = 1; t <= 5; ++t) k.at(t, [] {});
-  EXPECT_EQ(k.run_until(3), 3u);
-  EXPECT_EQ(k.run_until(10), 2u);
+  EXPECT_EQ(run(k, 3), 3u);
+  EXPECT_EQ(run(k, 10), 2u);
   EXPECT_EQ(k.events_processed(), 5u);
 }
 
@@ -55,7 +65,7 @@ TEST(Kernel, EventsCanCascade) {
     if (++depth < 100) k.after(1, recurse);
   };
   k.at(0, recurse);
-  k.run_until(1000);
+  run(k, 1000);
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(k.now(), 99);
 }
@@ -64,9 +74,9 @@ TEST(Kernel, SecondRunContinuesWhereFirstStopped) {
   Kernel k;
   std::vector<Ticks> seen;
   for (Ticks t : {10, 20, 30}) k.at(t, [&k, &seen] { seen.push_back(k.now()); });
-  k.run_until(15);
+  run(k, 15);
   EXPECT_EQ(seen.size(), 1u);
-  k.run_until(100);
+  run(k, 100);
   EXPECT_EQ(seen, (std::vector<Ticks>{10, 20, 30}));
 }
 
@@ -77,7 +87,7 @@ TEST(Kernel, SecondRunContinuesWhereFirstStopped) {
 TEST(Kernel, RejectsPastTimeSchedulingInAllBuildConfigurations) {
   Kernel k;
   k.at(10, [] {});
-  k.run_until(10);
+  run(k, 10);
   ASSERT_EQ(k.now(), 10);
   EXPECT_THROW(k.after(-1, [] {}), std::invalid_argument);
   EXPECT_THROW(k.at(9, [] {}), std::invalid_argument);
@@ -85,7 +95,7 @@ TEST(Kernel, RejectsPastTimeSchedulingInAllBuildConfigurations) {
   bool fired = false;
   EXPECT_NO_THROW(k.at(10, [&] { fired = true; }));
   EXPECT_NO_THROW(k.after(0, [] {}));
-  k.run_until(10);
+  run(k, 10);
   EXPECT_TRUE(fired);
   EXPECT_EQ(k.now(), 10);  // clock never rewound
 }
@@ -98,12 +108,12 @@ TEST(Kernel, SaturatedTimesNeverFireOrWrap) {
   bool fired = false;
   k.at(kNoBound, [&] { fired = true; });
   k.at(5, [] {});
-  k.run_until(1'000'000);
+  run(k, 1'000'000);
   EXPECT_EQ(k.now(), 5);
   EXPECT_FALSE(fired);
   // after() saturates instead of overflowing past kNoBound.
   EXPECT_NO_THROW(k.after(kNoBound, [&] { fired = true; }));
-  k.run_until(kNoBound - 1);
+  run(k, kNoBound - 1);
   EXPECT_FALSE(fired);
 }
 
