@@ -1,18 +1,36 @@
 // dist/result_cache.hpp — the persistent, content-addressed scenario-result
-// store behind `profisched sweep/simulate/shard --cache <dir>`.
+// store behind `profisched sweep/simulate/optimize/shard --cache <dir>`.
 //
-// One entry per (scenario, policy, options) cache key, one file per entry,
-// named by the key's 128-bit hex and fanned out into 256 subdirectories on
-// the first hex byte (flat directories degrade sharply at the many-millions-
-// of-entries scale the CacheKey design targets). Entries carry a versioned
-// header plus a key echo and payload length, so a format bump invalidates
-// every old entry
-// wholesale and a truncated, corrupted, or hash-colliding file is rejected
-// as a miss — the engine then recomputes and overwrites it. Stores write to
-// a unique temp file and rename() into place: within one directory that is
-// atomic on POSIX, so any number of concurrent writers (threads or whole
-// processes sharing the directory) race benignly — a reader sees either no
-// entry or one complete entry, never a torn one.
+// One append-only pack per writer, in the top level of the directory (the
+// log-structured layout of Rosenblum & Ousterhout, SOSP 1991). A pack is a
+// versioned header followed by record frames:
+//
+//   header  "profisched-cache v<kFormatVersion>\n"
+//   frame   scenario u64 | params u64 | length u32 | payload | checksum u64
+//
+// Integers are little-endian; the 128-bit key echo leads each frame and the
+// checksum covers key, length and payload. A format bump therefore
+// invalidates every old pack wholesale, and a truncated, corrupted or foreign
+// frame is rejected as a miss — the engine recomputes the record and appends
+// it again (a "heal").
+//
+// Writing: the first store() opens `<pid>-<nonce>.pack.tmp`; stores append to
+// it, and the pack is sealed — flushed, then rename()d to `<pid>-<nonce>.pack`
+// — when it reaches kRollBytes and when the cache is destroyed. The random
+// 64-bit nonce keeps names unique across processes and hosts sharing the
+// directory, and the rename publishes a pack whole: a reader never sees a
+// torn one. An instance that stores nothing leaves no file.
+//
+// Reading: the constructor scans the sealed packs once and builds a flat,
+// sorted index of key hash -> (pack, offset, length): 16 bytes a record, no
+// payload bytes. load() is a lock-free binary search plus at most one
+// pread(), and checks the key echo, the length and the checksum. Each thread
+// keeps the last 4 KiB it read from a sealed pack, and records stored
+// together are read back together, so a warm run takes one pread per
+// window. This instance's own stores go to a mutex-guarded side index
+// consulted after the sealed one, so a record stored here hits here at once;
+// another writer's records become visible to caches opened after that
+// writer seals its pack.
 //
 // The cache is strictly advisory: every I/O failure degrades to a miss or a
 // dropped store, never an exception out of load()/store() — a flaky disk
@@ -22,7 +40,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "engine/sweep_runner.hpp"
 #include "obs/metrics.hpp"
@@ -31,21 +51,30 @@ namespace profisched::dist {
 
 class ResultCache final : public engine::ScenarioCache {
  public:
-  /// Bump to invalidate every existing on-disk entry (the header carries it).
-  static constexpr std::uint32_t kFormatVersion = 1;
+  /// Bump to invalidate every existing pack (the header carries it).
+  static constexpr std::uint32_t kFormatVersion = 2;
 
-  /// A `*.tmp.*` writer scratch file older than this at open time is treated
-  /// as an orphan (its writer died between create and rename) and reaped. Any
-  /// live writer renames within seconds, so 15 minutes is a wide safety
-  /// margin for concurrent processes sharing the directory.
+  /// A writer seals its pack and starts a new one once the pack holds this
+  /// many bytes, so a killed run loses at most this much of its work.
+  static constexpr std::uint64_t kRollBytes = std::uint64_t{16} << 20;
+
+  /// A `*.pack.tmp` file untouched for this long at open time is treated as
+  /// an orphan (its writer died before sealing it) and reaped. A live writer
+  /// flushes to its temp pack at least once a minute while it stores, and
+  /// seals it when done, so 15 minutes is a wide safety margin for processes
+  /// sharing the directory. (A writer that stores nothing for 15 minutes and
+  /// then more loses its unsealed records: they are future misses.)
   static constexpr std::chrono::seconds kDefaultOrphanMinAge{15 * 60};
 
   /// Creates `dir` (and parents) if missing; throws std::runtime_error when
-  /// the directory cannot be created at all. On open, sweeps orphaned temp
-  /// files at least `orphan_min_age` old (age-gated so a concurrent writer's
-  /// in-flight temp file is never touched).
+  /// the directory cannot be created at all. On open, reaps orphaned temp
+  /// packs at least `orphan_min_age` old, then indexes the sealed packs.
   explicit ResultCache(std::string dir,
                        std::chrono::seconds orphan_min_age = kDefaultOrphanMinAge);
+  /// Seals this instance's pack, if it stored anything.
+  ~ResultCache() override;
+  ResultCache(const ResultCache&) = delete;
+  ResultCache& operator=(const ResultCache&) = delete;
 
   bool load(const engine::CacheKey& key, std::string& payload) override;
   void store(const engine::CacheKey& key, const std::string& payload) override;
@@ -54,32 +83,73 @@ class ResultCache final : public engine::ScenarioCache {
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_.load(); }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_.load(); }
   [[nodiscard]] std::uint64_t stores() const noexcept { return stores_.load(); }
-  /// Orphaned temp files reaped by the open-time sweep.
+  /// Orphaned temp packs reaped by the open-time sweep.
   [[nodiscard]] std::uint64_t orphans_reaped() const noexcept { return orphans_reaped_.load(); }
 
-  /// Entry file name for a key: 32 lower-case hex digits.
-  [[nodiscard]] static std::string entry_name(const engine::CacheKey& key);
-
-  /// Full path of a key's entry file: <dir>/<first 2 hex>/<entry_name>.
-  [[nodiscard]] std::string entry_path(const engine::CacheKey& key) const;
-
  private:
-  /// Delete `*.tmp.*` scratch files under dir_ whose mtime is at least
-  /// `min_age` in the past; returns how many were removed. Advisory like all
-  /// cache I/O: any filesystem error just leaves the file for the next open.
-  std::uint64_t sweep_orphaned_tmp(std::chrono::seconds min_age);
+  /// An open pack and where it starts in its index's address space: the
+  /// packs of one index are laid end to end, so an index entry names a pack
+  /// and an offset with one address.
+  struct Pack {
+    int fd;
+    std::uint64_t base;
+  };
+  /// Index entry: a 64-bit hash of the key, and `loc`, the frame's address
+  /// << 24 | frame bytes. A frame has at least 28 bytes, so loc is never 0
+  /// and loc 0 marks an empty side_ slot.
+  struct Slot {
+    std::uint64_t hash;
+    std::uint64_t loc;
+  };
 
+  /// Delete top-level `*.pack.tmp` files whose mtime is at least `min_age`
+  /// in the past. Advisory like all cache I/O: any filesystem error just
+  /// leaves the file for the next open.
+  void sweep_orphaned_tmp(std::chrono::seconds min_age);
+  /// Open and index every sealed pack of dir_ (constructor only).
+  void index_sealed_packs();
+
+  /// The loc stored under `hash` in side_, or 0.
+  [[nodiscard]] std::uint64_t side_find(std::uint64_t hash) const;
+  void side_insert(std::uint64_t hash, std::uint64_t loc);
+
+  // Writer side; all of these run with mu_ held.
+  bool open_pack();
+  bool flush();
+  void seal();
+  void abandon();
+
+  const std::uint64_t id_;  ///< tags this cache's read-ahead windows
   std::string dir_;
+  std::vector<Pack> sealed_;  ///< immutable after construction
+  std::vector<Slot> index_;   ///< sorted by hash; immutable after construction
+  /// index_[buckets_[b], buckets_[b + 1]) holds the hashes with top bits b,
+  /// so a probe binary-searches a few entries, not all of them.
+  std::vector<std::uint32_t> buckets_;
+  int bucket_bits_ = 0;
+
+  std::mutex mu_;
+  std::vector<Pack> own_;  ///< this instance's packs; the last one may be open for writing
+  /// Own records: open addressing with linear probing, a power-of-two size
+  /// at most 7/8 full; locs address own_.
+  std::vector<Slot> side_;
+  std::size_t side_count_ = 0;
+  std::string tmp_path_;   ///< the temp pack being written; empty when none is open
+  std::string pending_;    ///< appended bytes not yet written to the temp pack
+  std::uint64_t written_ = 0;  ///< bytes of the temp pack already on disk
+  std::chrono::steady_clock::time_point last_flush_;
+  std::uint64_t own_end_ = 0;  ///< address just past the last of own_
+  bool store_failed_ = false;  ///< a write failed: drop every later store
+
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> stores_{0};
   std::atomic<std::uint64_t> orphans_reaped_{0};
-  std::atomic<std::uint64_t> tmp_seq_{0};  ///< unique temp-file suffix source
 
   // File-level telemetry, distinct from the runner's record-level cache.*
-  // series: bytes moved and "heals" — entries that existed but were refused
-  // (wrong version / foreign key / bad length / short read) and will be
-  // recomputed and overwritten.
+  // series: bytes moved and "heals" — records that were found but refused
+  // (foreign key echo / bad length / bad checksum / short read) and will be
+  // recomputed and appended again.
   obs::Counter obs_hits_ = obs::Registry::global().counter("cache.file.hits");
   obs::Counter obs_misses_ = obs::Registry::global().counter("cache.file.misses");
   obs::Counter obs_heals_ = obs::Registry::global().counter("cache.file.corruption_heals");

@@ -23,6 +23,14 @@ std::string sanitize(const std::string& s) {
 
 void append_u64(std::string& out, std::uint64_t v) { out += std::to_string(v); }
 
+/// Appends `s` sanitized and in double quotes. Appending piece by piece,
+/// not concatenating temporaries, keeps GCC 12's -Wrestrict quiet.
+void append_quoted(std::string& out, const std::string& s) {
+  out += '"';
+  out += sanitize(s);
+  out += '"';
+}
+
 }  // namespace
 
 std::string to_json(const Manifest& m) {
@@ -32,12 +40,15 @@ std::string to_json(const Manifest& m) {
   out += "  \"schema\": \"";
   out += kManifestSchema;
   out += "\",\n";
-  out += "  \"tool\": \"" + sanitize(m.run.tool) + "\",\n";
-  out += "  \"subcommand\": \"" + sanitize(m.run.subcommand) + "\",\n";
+  out += "  \"tool\": ";
+  append_quoted(out, m.run.tool);
+  out += ",\n  \"subcommand\": ";
+  append_quoted(out, m.run.subcommand);
+  out += ",\n";
   out += "  \"argv\": [";
   for (std::size_t i = 0; i < m.run.argv.size(); ++i) {
     if (i != 0) out += ", ";
-    out += "\"" + sanitize(m.run.argv[i]) + "\"";
+    append_quoted(out, m.run.argv[i]);
   }
   out += "],\n";
   out += "  \"config_digest\": ";
@@ -52,12 +63,15 @@ std::string to_json(const Manifest& m) {
   append_u64(out, m.run.replications);
   out += ",\n  \"threads\": ";
   append_u64(out, m.run.threads);
-  out += ",\n  \"elapsed_s\": " + fmt_double(m.run.elapsed_s);
+  out += ",\n  \"elapsed_s\": ";
+  out += fmt_double(m.run.elapsed_s);
   out += ",\n  \"counters\": [";
   for (std::size_t i = 0; i < m.metrics.counters.size(); ++i) {
     const auto& c = m.metrics.counters[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": \"" + sanitize(c.name) + "\", \"value\": ";
+    out += "    {\"name\": ";
+    append_quoted(out, c.name);
+    out += ", \"value\": ";
     append_u64(out, c.value);
     out += "}";
   }
@@ -66,7 +80,9 @@ std::string to_json(const Manifest& m) {
   for (std::size_t i = 0; i < m.metrics.gauges.size(); ++i) {
     const auto& g = m.metrics.gauges[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": \"" + sanitize(g.name) + "\", \"value\": ";
+    out += "    {\"name\": ";
+    append_quoted(out, g.name);
+    out += ", \"value\": ";
     append_u64(out, g.value);
     out += "}";
   }
@@ -75,7 +91,9 @@ std::string to_json(const Manifest& m) {
   for (std::size_t i = 0; i < m.metrics.timers.size(); ++i) {
     const auto& t = m.metrics.timers[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": \"" + sanitize(t.name) + "\", \"count\": ";
+    out += "    {\"name\": ";
+    append_quoted(out, t.name);
+    out += ", \"count\": ";
     append_u64(out, t.count);
     out += ", \"total_ns\": ";
     append_u64(out, t.total_ns);
@@ -86,7 +104,9 @@ std::string to_json(const Manifest& m) {
   for (std::size_t i = 0; i < m.metrics.histograms.size(); ++i) {
     const auto& h = m.metrics.histograms[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": \"" + sanitize(h.name) + "\", \"count\": ";
+    out += "    {\"name\": ";
+    append_quoted(out, h.name);
+    out += ", \"count\": ";
     append_u64(out, h.count);
     out += ", \"sum\": ";
     append_u64(out, h.sum);

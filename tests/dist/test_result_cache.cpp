@@ -1,16 +1,21 @@
 // ResultCache contract: hit-after-miss determinism (cached results
 // bit-identical to recomputed ones, across all three sweep modes),
-// version-mismatch invalidation, corrupted-entry rejection, incremental
-// policy-set re-sweeps, and concurrent writers sharing one directory (this
-// suite runs under the CI TSan job via the dist_ test-name filter).
+// version-mismatch invalidation, corrupted-pack rejection and healing,
+// incremental policy-set re-sweeps, pack rolling and sealing, visibility at
+// seal, and concurrent writers sharing one directory (this suite runs under
+// the CI TSan job via the dist_ test-name filter).
 #include "dist/result_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "engine/aggregate.hpp"
 #include "engine/sim_aggregate.hpp"
@@ -33,6 +38,40 @@ class CacheDir {
  private:
   std::string path_;
 };
+
+std::string read_file(const fs::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+}
+
+/// Rewrites `path` in place (same inode), as a bit rot or a stray writer
+/// would: an instance that already opened the file sees the new bytes.
+void write_file(const fs::path& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os << bytes;
+}
+
+/// Regular files under `dir`, recursively, whose name ends with `suffix`.
+std::vector<fs::path> regular_files(const std::string& dir, const std::string& suffix = "") {
+  std::vector<fs::path> out;
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    if (e.is_regular_file() && e.path().filename().string().ends_with(suffix)) {
+      out.push_back(e.path());
+    }
+  }
+  return out;
+}
+
+/// The one sealed pack in `dir`.
+fs::path only_pack(const std::string& dir) {
+  const std::vector<fs::path> packs = regular_files(dir, ".pack");
+  EXPECT_EQ(packs.size(), 1u);
+  return packs.empty() ? fs::path(dir) / "missing.pack" : packs.front();
+}
+
+std::uint64_t file_counter(const char* name) {
+  return obs::Registry::global().snapshot().counter(name);
+}
 
 engine::SweepSpec small_sweep() {
   engine::SweepSpec spec;
@@ -156,63 +195,140 @@ TEST(ResultCache, AddedUPointsReuseExistingEntries) {
 
 TEST(ResultCache, VersionMismatchInvalidates) {
   const CacheDir dir("version");
-  ResultCache cache(dir.path());
   const engine::CacheKey key{1, 2};
-  cache.store(key, "payload");
-  const std::string entry = cache.entry_path(key);
-
-  // Rewrite the entry as a future format version: load must reject it (and
-  // a subsequent store/load cycle must recover the slot).
   {
-    std::ofstream os(entry, std::ios::binary | std::ios::trunc);
-    os << "profisched-cache v999\nkey " << ResultCache::entry_name(key) << "\nlen 7\npayload";
+    ResultCache seeder(dir.path());
+    seeder.store(key, "payload");
   }
+  // Rewrite the sealed pack as a future format version: the whole pack is
+  // refused, and a store/load cycle recovers the record into a new pack.
+  const fs::path pack = only_pack(dir.path());
+  const std::string bytes = read_file(pack);
+  ASSERT_EQ(bytes.rfind("profisched-cache v2\n", 0), 0u);
+  write_file(pack, "profisched-cache v999\n" + bytes.substr(20));
   std::string payload;
-  EXPECT_FALSE(cache.load(key, payload));
-  cache.store(key, "payload");
-  EXPECT_TRUE(cache.load(key, payload));
+  {
+    ResultCache cache(dir.path());
+    EXPECT_FALSE(cache.load(key, payload));
+    cache.store(key, "payload");
+    ASSERT_TRUE(cache.load(key, payload));
+    EXPECT_EQ(payload, "payload");
+  }
+  ResultCache reopened(dir.path());
+  ASSERT_TRUE(reopened.load(key, payload));
   EXPECT_EQ(payload, "payload");
 }
 
-TEST(ResultCache, CorruptedEntriesAreRejected) {
+TEST(ResultCache, CorruptedPacksAreRejected) {
   const CacheDir dir("corrupt");
-  ResultCache cache(dir.path());
   const engine::CacheKey key{3, 4};
-  cache.store(key, "intact payload bytes");
-  const std::string entry = cache.entry_path(key);
-  std::string payload;
-
-  const auto write_entry = [&](const std::string& bytes) {
-    std::ofstream os(entry, std::ios::binary | std::ios::trunc);
-    os << bytes;
-  };
-  // Truncated payload, garbage, empty file, and a key echo that does not
-  // match the filename (a renamed/colliding entry) must all read as misses.
-  write_entry("profisched-cache v1\nkey " + ResultCache::entry_name(key) + "\nlen 20\nshort");
-  EXPECT_FALSE(cache.load(key, payload));
-  write_entry("complete garbage");
-  EXPECT_FALSE(cache.load(key, payload));
-  write_entry("");
-  EXPECT_FALSE(cache.load(key, payload));
-  write_entry("profisched-cache v1\nkey 00000000000000000000000000000000\nlen 3\nabc");
-  EXPECT_FALSE(cache.load(key, payload));
-
-  // A corrupted entry in a live sweep is recomputed and healed, not trusted.
-  const engine::SweepSpec spec = small_sweep();
-  engine::SweepRunner runner(2);
-  ResultCache swept(dir.path());
-  (void)runner.run(spec, &swept);
-  for (const auto& e : fs::recursive_directory_iterator(dir.path())) {
-    if (!e.is_regular_file()) continue;  // skip the fan-out subdirectories
-    std::ofstream os(e.path(), std::ios::binary | std::ios::trunc);
-    os << "junk";
+  {
+    ResultCache seeder(dir.path());
+    seeder.store(key, "intact payload bytes");
   }
-  const engine::SweepResult healed = runner.run(spec, &swept);
-  EXPECT_EQ(healed.cache_hits, 0u);  // every entry was junk
-  const engine::SweepResult warm = runner.run(spec, &swept);
-  EXPECT_EQ(warm.cache_misses, 0u);  // ...and every entry got rewritten
+  const fs::path pack = only_pack(dir.path());
+  const std::string intact = read_file(pack);
+  std::string payload;
+  const auto refused = [&](const std::string& bytes) {
+    write_file(pack, bytes);
+    ResultCache cache(dir.path());
+    return !cache.load(key, payload);
+  };
+  // A pack truncated inside the frame, garbage, and an empty file must all
+  // read as misses.
+  EXPECT_TRUE(refused(intact.substr(0, intact.size() - 5)));
+  EXPECT_TRUE(refused(intact.substr(0, 30)));
+  EXPECT_TRUE(refused("complete garbage"));
+  EXPECT_TRUE(refused(""));
+  write_file(pack, intact);
+  ResultCache control(dir.path());
+  ASSERT_TRUE(control.load(key, payload));
+  EXPECT_EQ(payload, "intact payload bytes");
+}
+
+TEST(ResultCache, ForeignKeyEchoIsAHealNotAHit) {
+  const CacheDir dir("foreign");
+  const CacheDir other_dir("foreign_other");
+  const engine::CacheKey key{5, 6};
+  const engine::CacheKey other{5, 7};
+  {
+    ResultCache seeder(dir.path());
+    seeder.store(key, "abc");
+    ResultCache other_seeder(other_dir.path());
+    other_seeder.store(other, "xyz");
+  }
+  // The reader indexes the pack; the pack then turns into another intact
+  // pack whose frame at the same offset is a different key's (a stale index
+  // over a rewritten file, or a 128-bit collision). Its checksum holds, so
+  // only the key echo can refuse it — as a heal, never as a hit.
+  const fs::path pack = only_pack(dir.path());
+  ResultCache reader(dir.path());
+  write_file(pack, read_file(only_pack(other_dir.path())));
+  const std::uint64_t heals0 = file_counter("cache.file.corruption_heals");
+  std::string payload;
+  EXPECT_FALSE(reader.load(key, payload));
+  EXPECT_EQ(file_counter("cache.file.corruption_heals") - heals0, 1u);
+  // ...and the recomputed record stored after the heal is served.
+  reader.store(key, "abc");
+  ASSERT_TRUE(reader.load(key, payload));
+  EXPECT_EQ(payload, "abc");
+}
+
+TEST(ResultCache, ChecksumCatchesEveryFlippedPayloadOrChecksumByte) {
+  const CacheDir dir("checksum");
+  const engine::CacheKey key{7, 8};
+  const std::string stored = "0123456789abcdef0123";
+  {
+    ResultCache seeder(dir.path());
+    seeder.store(key, stored);
+  }
+  const fs::path pack = only_pack(dir.path());
+  const std::string intact = read_file(pack);
+  // Frame: 16 key bytes, 4 length bytes, payload, 8 checksum bytes. Flip
+  // each payload and checksum byte in turn; none may be served.
+  const std::size_t payload_at = 20 + 20;
+  ASSERT_EQ(intact.size(), payload_at + stored.size() + 8);
+  for (std::size_t at = payload_at; at < intact.size(); ++at) {
+    std::string bytes = intact;
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x40);
+    write_file(pack, bytes);
+    ResultCache cache(dir.path());
+    const std::uint64_t heals0 = file_counter("cache.file.corruption_heals");
+    std::string payload;
+    EXPECT_FALSE(cache.load(key, payload)) << "byte " << at;
+    EXPECT_EQ(file_counter("cache.file.corruption_heals") - heals0, 1u) << "byte " << at;
+  }
+}
+
+TEST(ResultCache, JunkedPacksAreRecomputedAndHealed) {
+  const CacheDir dir("junk");
+  const engine::SweepSpec spec = small_sweep();
+  const std::size_t lookups = spec.total_scenarios() * spec.policies.size();
+  engine::SweepRunner runner(2);
   engine::SweepRunner reference(2);
+  {
+    ResultCache filler(dir.path());
+    (void)runner.run(spec, &filler);
+  }
+  // A reader indexes the sealed pack, then every file in the directory turns
+  // to junk under it: every record is refused (a heal), recomputed, and
+  // served from this instance's own pack on the next run.
+  ResultCache swept(dir.path());
+  for (const fs::path& f : regular_files(dir.path())) write_file(f, "junk");
+  const std::uint64_t heals0 = file_counter("cache.file.corruption_heals");
+  const engine::SweepResult healed = runner.run(spec, &swept);
+  EXPECT_EQ(healed.cache_hits, 0u);  // every record was junk
+  EXPECT_EQ(file_counter("cache.file.corruption_heals") - heals0, lookups);
+  const engine::SweepResult warm = runner.run(spec, &swept);
+  EXPECT_EQ(warm.cache_misses, 0u);  // ...and every record got rewritten
   expect_same_outcomes(reference.run(spec), warm);
+
+  // The same again with the live writer's own temp pack junked.
+  for (const fs::path& f : regular_files(dir.path())) write_file(f, "junk");
+  EXPECT_EQ(runner.run(spec, &swept).cache_hits, 0u);
+  const engine::SweepResult rewarm = runner.run(spec, &swept);
+  EXPECT_EQ(rewarm.cache_misses, 0u);
+  expect_same_outcomes(reference.run(spec), rewarm);
 }
 
 TEST(ResultCache, EqualContentDifferentSeedScenariosDoNotShareSimRecords) {
@@ -261,52 +377,166 @@ TEST(ResultCache, EqualContentDifferentSeedScenariosDoNotShareSimRecords) {
   }
 }
 
-TEST(ResultCache, OpenSweepsOldOrphanTmpFilesButSparesFreshOnes) {
+TEST(ResultCache, OpenSweepsOldOrphanTmpPacksButSparesFreshOnes) {
   const CacheDir dir("orphans");
   const engine::CacheKey key{0xabcd, 0xef01};
-  fs::path real_entry;
   {
-    // Populate one real entry, then plant writer scratch files around it as
-    // if two processes died mid-store: one long ago, one a moment ago.
     ResultCache seeder(dir.path());
     seeder.store(key, "kept payload");
-    real_entry = seeder.entry_path(key);
   }
-  const fs::path old_orphan = real_entry.string() + ".tmp.4242.77.0";
-  const fs::path fresh_orphan = real_entry.string() + ".tmp.4243.88.1";
+  // Plant temp packs around the sealed one as if two writers died before
+  // sealing: one long ago, one a moment ago. The sweep is non-recursive, so
+  // an old temp pack in a subdirectory is not the cache's to reap.
+  const fs::path old_orphan = fs::path(dir.path()) / "4242-00000000000000aa.pack.tmp";
+  const fs::path fresh_orphan = fs::path(dir.path()) / "4243-00000000000000bb.pack.tmp";
+  const fs::path nested = fs::path(dir.path()) / "sub" / "4244-00000000000000cc.pack.tmp";
+  fs::create_directories(nested.parent_path());
   std::ofstream(old_orphan) << "half-written";
   std::ofstream(fresh_orphan) << "still being written";
-  fs::last_write_time(old_orphan, fs::file_time_type::clock::now() - std::chrono::hours(2));
+  std::ofstream(nested) << "someone else's";
+  const auto two_hours_ago = fs::file_time_type::clock::now() - std::chrono::hours(2);
+  fs::last_write_time(old_orphan, two_hours_ago);
+  fs::last_write_time(nested, two_hours_ago);
 
   ResultCache cache(dir.path(), /*orphan_min_age=*/std::chrono::minutes(5));
   EXPECT_EQ(cache.orphans_reaped(), 1u);
-  EXPECT_FALSE(fs::exists(old_orphan));      // the dead writer's leak is gone
-  EXPECT_TRUE(fs::exists(fresh_orphan));     // a live writer's file survives
+  EXPECT_FALSE(fs::exists(old_orphan));   // the dead writer's leak is gone
+  EXPECT_TRUE(fs::exists(fresh_orphan));  // a live writer's pack survives
+  EXPECT_TRUE(fs::exists(nested));
   std::string payload;
-  EXPECT_TRUE(cache.load(key, payload));     // real entries are never touched
+  EXPECT_TRUE(cache.load(key, payload));  // sealed packs are never touched
   EXPECT_EQ(payload, "kept payload");
 }
 
 TEST(ResultCache, OrphanSweepIgnoresNonTmpNamesAndEmptyDirs) {
   const CacheDir dir("orphans_safe");
-  // Opening a brand-new (empty) directory sweeps nothing and must not throw.
-  ResultCache first(dir.path(), std::chrono::seconds(0));
-  EXPECT_EQ(first.orphans_reaped(), 0u);
-
-  // With min_age 0 every tmp file qualifies immediately; entry files and
-  // oddly-named bystanders still survive because only `*.tmp.*` is reaped.
   const engine::CacheKey key{7, 9};
-  first.store(key, "payload");
+  {
+    // Opening a brand-new (empty) directory sweeps nothing and must not throw.
+    ResultCache first(dir.path(), std::chrono::seconds(0));
+    EXPECT_EQ(first.orphans_reaped(), 0u);
+    first.store(key, "payload");
+  }
+  // With min_age 0 every temp pack qualifies immediately; sealed packs and
+  // oddly-named bystanders still survive because only `*.pack.tmp` is reaped.
+  const fs::path pack = only_pack(dir.path());
   const fs::path bystander = fs::path(dir.path()) / "README";
+  const fs::path orphan = fs::path(dir.path()) / "1-0000000000000002.pack.tmp";
   std::ofstream(bystander) << "not a scratch file";
-  std::ofstream(first.entry_path(key) + ".tmp.1.2.3") << "orphan";
+  std::ofstream(orphan) << "orphan";
 
   ResultCache second(dir.path(), std::chrono::seconds(0));
   EXPECT_EQ(second.orphans_reaped(), 1u);
+  EXPECT_FALSE(fs::exists(orphan));
   EXPECT_TRUE(fs::exists(bystander));
+  EXPECT_TRUE(fs::exists(pack));
   std::string payload;
   EXPECT_TRUE(second.load(key, payload));
   EXPECT_EQ(payload, "payload");
+}
+
+TEST(ResultCache, StoreFreeInstanceLeavesTheDirectoryAsItWas) {
+  const CacheDir dir("store_free");
+  {
+    ResultCache cache(dir.path());
+    std::string payload;
+    EXPECT_FALSE(cache.load(engine::CacheKey{1, 1}, payload));
+  }
+  EXPECT_TRUE(regular_files(dir.path()).empty());
+
+  // A warm run only reads: it adds no pack.
+  const engine::SweepSpec spec = small_sweep();
+  engine::SweepRunner runner(2);
+  {
+    ResultCache cold(dir.path());
+    (void)runner.run(spec, &cold);
+  }
+  ASSERT_EQ(regular_files(dir.path()).size(), 1u);
+  {
+    ResultCache warm(dir.path());
+    EXPECT_EQ(runner.run(spec, &warm).cache_misses, 0u);
+  }
+  EXPECT_EQ(regular_files(dir.path()).size(), 1u);
+}
+
+TEST(ResultCache, V1FanOutDirectoryReadsAsMissesThenHealsIntoAPack) {
+  const CacheDir dir("v1");
+  const engine::SweepSpec spec = small_sweep();
+  const std::size_t lookups = spec.total_scenarios() * spec.policies.size();
+  engine::SweepRunner runner(2);
+  // A format-1 directory: one file per record, fanned out on the first hex
+  // byte of the key. Plant one such entry per fan-out slot a real one used.
+  for (int slot = 0; slot < 256; slot += 17) {
+    char sub[3];
+    std::snprintf(sub, sizeof sub, "%02x", slot);
+    const fs::path entry = fs::path(dir.path()) / sub / (std::string(sub) + std::string(30, '0'));
+    fs::create_directories(entry.parent_path());
+    std::ofstream(entry) << "profisched-cache v1\nkey " << entry.filename().string()
+                         << "\nlen 3\nabc";
+  }
+  const std::size_t v1_files = regular_files(dir.path()).size();
+  {
+    ResultCache cache(dir.path());
+    const engine::SweepResult cold = runner.run(spec, &cache);
+    EXPECT_EQ(cold.cache_hits, 0u);
+    EXPECT_EQ(cold.cache_misses, lookups);
+  }
+  EXPECT_EQ(regular_files(dir.path()).size(), v1_files + 1);  // one new pack
+  ASSERT_TRUE(fs::exists(only_pack(dir.path())));
+  ResultCache warm_cache(dir.path());
+  const engine::SweepResult warm = runner.run(spec, &warm_cache);
+  EXPECT_EQ(warm.cache_misses, 0u);
+  engine::SweepRunner reference(2);
+  expect_same_outcomes(reference.run(spec), warm);
+}
+
+TEST(ResultCache, PacksRollAndStayReadable) {
+  const CacheDir dir("roll");
+  // Enough 64 KiB records to pass the roll size once.
+  const std::size_t n = ResultCache::kRollBytes / (64 << 10) + 4;
+  const auto payload_of = [](std::size_t i) {
+    return std::string(64 << 10, static_cast<char>('a' + i % 26)) + std::to_string(i);
+  };
+  {
+    ResultCache writer(dir.path());
+    for (std::size_t i = 0; i < n; ++i) writer.store(engine::CacheKey{i, 1}, payload_of(i));
+    // The first pack is sealed (visible to other readers) while the writer
+    // lives; every record, before and after the roll, still hits here.
+    EXPECT_EQ(regular_files(dir.path(), ".pack").size(), 1u);
+    std::string payload;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(writer.load(engine::CacheKey{i, 1}, payload)) << i;
+      ASSERT_EQ(payload, payload_of(i)) << i;
+    }
+  }
+  EXPECT_EQ(regular_files(dir.path(), ".pack").size(), 2u);
+  EXPECT_TRUE(regular_files(dir.path(), ".tmp").empty());
+  ResultCache reader(dir.path());
+  std::string payload;
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(reader.load(engine::CacheKey{i, 1}, payload)) << i;
+    ASSERT_EQ(payload, payload_of(i)) << i;
+  }
+}
+
+TEST(ResultCache, WritersRecordsBecomeVisibleToOtherReadersAtSeal) {
+  const CacheDir dir("visibility");
+  const engine::CacheKey key{11, 12};
+  std::string payload;
+  auto writer = std::make_unique<ResultCache>(dir.path());
+  writer->store(key, "sealed later");
+  ASSERT_TRUE(writer->load(key, payload));  // hit-after-store in the writer
+
+  // A reader opened while the writer is live does not see its records, not
+  // even after the writer seals: the index is built once, at open.
+  ResultCache early(dir.path());
+  EXPECT_FALSE(early.load(key, payload));
+  writer.reset();  // seal
+  EXPECT_FALSE(early.load(key, payload));
+
+  ResultCache late(dir.path());
+  ASSERT_TRUE(late.load(key, payload));
+  EXPECT_EQ(payload, "sealed later");
 }
 
 TEST(ResultCache, ConcurrentWritersSharingOneDirectory) {
@@ -317,15 +547,18 @@ TEST(ResultCache, ConcurrentWritersSharingOneDirectory) {
 
   // Two populators race on one cold directory — as two processes sharing a
   // cache would. Each uses its own multi-threaded runner, so stores collide
-  // both within and across ResultCache instances.
-  ResultCache a(dir.path()), b(dir.path());
-  engine::SweepResult ra, rb;
-  std::thread ta([&] { ra = engine::SweepRunner(2).run(spec, &a); });
-  std::thread tb([&] { rb = engine::SweepRunner(2).run(spec, &b); });
-  ta.join();
-  tb.join();
-  expect_same_outcomes(plain, ra);
-  expect_same_outcomes(plain, rb);
+  // both within and across ResultCache instances. Their records become
+  // visible to other instances when they seal, at destruction.
+  {
+    ResultCache a(dir.path()), b(dir.path());
+    engine::SweepResult ra, rb;
+    std::thread ta([&] { ra = engine::SweepRunner(2).run(spec, &a); });
+    std::thread tb([&] { rb = engine::SweepRunner(2).run(spec, &b); });
+    ta.join();
+    tb.join();
+    expect_same_outcomes(plain, ra);
+    expect_same_outcomes(plain, rb);
+  }
 
   ResultCache warm_cache(dir.path());
   const engine::SweepResult warm = reference.run(spec, &warm_cache);

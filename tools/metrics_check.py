@@ -12,7 +12,10 @@ Checks, in order:
      of the command, so their total_ns must sum to <= elapsed_s (plus a
      small slack for clock granularity);
   4. cache coherence — when the record-level cache series are present,
-     cache.hits + cache.misses == cache.lookups, and the file-level
+     cache.hits + cache.misses == cache.lookups; every lookup calls the
+     result cache's load() exactly once, so cache.file.hits +
+     cache.file.misses == cache.lookups, and a record-level hit needs a
+     file-level one, so cache.hits <= cache.file.hits; and the file-level
      cache.file.corruption_heals <= cache.file.misses;
   5. histogram internal consistency — count == sum(bins) for every
      histogram;
@@ -114,6 +117,15 @@ def main(argv):
             return fail(
                 f"cache.hits ({hits}) + cache.misses ({misses}) != cache.lookups ({lookups})"
             )
+        file_hits = counters.get("cache.file.hits", {"value": 0})["value"]
+        file_misses = counters.get("cache.file.misses", {"value": 0})["value"]
+        if file_hits + file_misses != lookups:
+            return fail(
+                f"cache.file.hits ({file_hits}) + cache.file.misses ({file_misses}) "
+                f"!= cache.lookups ({lookups})"
+            )
+        if hits > file_hits:
+            return fail(f"cache.hits ({hits}) > cache.file.hits ({file_hits})")
     if "cache.file.corruption_heals" in counters:
         heals = counters["cache.file.corruption_heals"]["value"]
         file_misses = counters.get("cache.file.misses", {"value": 0})["value"]
