@@ -1,6 +1,7 @@
 #include "dist/result_cache.hpp"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -13,6 +14,8 @@
 #include <random>
 #include <stdexcept>
 #include <system_error>
+#include <unordered_set>
+#include <utility>
 
 namespace profisched::dist {
 
@@ -206,10 +209,6 @@ std::uint64_t key_hash(std::uint64_t scenario, std::uint64_t params) {
   return mix64(scenario ^ mix64(params));
 }
 
-std::size_t bucket_of(std::uint64_t hash, int bits) {
-  return bits == 0 ? 0 : static_cast<std::size_t>(hash >> (64 - bits));
-}
-
 std::uint64_t random_nonce() {
   try {
     std::random_device rd;
@@ -219,6 +218,127 @@ std::uint64_t random_nonce() {
     return mix64(static_cast<std::uint64_t>(
         std::chrono::high_resolution_clock::now().time_since_epoch().count()));
   }
+}
+
+/// Creates a new, empty `<pid>-<nonce>.pack.tmp` in `dir`; returns its fd
+/// (-1 on failure) and sets `path`.
+int create_tmp_pack(const std::string& dir, std::string& path) {
+  char name[64];
+  std::snprintf(name, sizeof name, "/%ld-%016llx", static_cast<long>(::getpid()),
+                static_cast<unsigned long long>(random_nonce()));
+  path = dir + name + kTmpSuffix;
+  return ::open(path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+}
+
+/// The temp pack's name without ".tmp".
+std::string sealed_name(const std::string& tmp_path) {
+  return tmp_path.substr(0, tmp_path.size() - 4);
+}
+
+/// Opens `path` read-only when it is a regular file that starts with this
+/// format's header, and sets `size`; -1 otherwise.
+int open_pack_file(const std::string& path, std::uint64_t& size) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return -1;
+  const std::string& header = pack_header();
+  std::string head(header.size(), '\0');
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) ||
+      pread_full(fd, head.data(), head.size(), 0) != head.size() || head != header) {
+    ::close(fd);
+    return -1;
+  }
+  size = static_cast<std::uint64_t>(st.st_size);
+  return fd;
+}
+
+/// Top-level `*.pack` names of `dir`, sorted.
+std::vector<std::string> sealed_pack_names(const std::string& dir) {
+  std::vector<std::string> names;
+  std::error_code ec;
+  fs::directory_iterator it(dir, fs::directory_options::skip_permission_denied, ec);
+  const fs::directory_iterator end;
+  while (!ec && it != end) {
+    std::string name = it->path().filename().string();
+    if (name.ends_with(kPackSuffix)) names.push_back(std::move(name));
+    it.increment(ec);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+struct KeyHash {
+  std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& k) const noexcept {
+    return static_cast<std::size_t>(key_hash(k.first, k.second));
+  }
+};
+
+/// Merges every sealed pack of `dir` into one new pack: each intact record
+/// once, in the order found. The new pack is sealed before the packs it
+/// absorbed are unlinked, so a crash in between leaves duplicates, never a
+/// loss. Readers that already opened an absorbed pack keep reading it
+/// through their descriptor. Packs of another format version, and any the
+/// merge cannot read, are left alone. Runs only under an exclusive flock on
+/// the directory, so concurrent openers do not each copy the whole cache;
+/// an opener that finds the lock taken skips the merge.
+void compact(const std::string& dir) {
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) return;
+  if (::flock(dir_fd, LOCK_EX | LOCK_NB) != 0) {
+    ::close(dir_fd);
+    return;
+  }
+  // Listed under the lock: a merge that just finished has already unlinked
+  // what it absorbed.
+  const std::vector<std::string> names = sealed_pack_names(dir);
+  std::string tmp_path;
+  const int out = names.size() > ResultCache::kMaxOpenPacks ? create_tmp_pack(dir, tmp_path) : -1;
+  if (out >= 0) {
+    std::string pending = pack_header();
+    std::uint64_t written = 0;
+    bool ok = true;
+    std::size_t copied = 0;
+    std::vector<std::string> absorbed;
+    std::unordered_set<std::pair<std::uint64_t, std::uint64_t>, KeyHash> seen;
+    std::string buf(kIoChunk, '\0');
+    std::string frame;
+    std::string payload;
+    for (const std::string& name : names) {
+      std::uint64_t size = 0;
+      const int fd = open_pack_file(dir + '/' + name, size);
+      if (fd < 0) continue;
+      walk_frames(fd, size, buf,
+                  [&](std::uint64_t scenario, std::uint64_t params, std::uint64_t offset,
+                      std::uint64_t bytes) {
+                    frame.resize(bytes);
+                    if (!ok || pread_full(fd, frame.data(), bytes, offset) != bytes ||
+                        !take_record(frame.data(), bytes, engine::CacheKey{scenario, params},
+                                     payload) ||
+                        !seen.emplace(scenario, params).second) {
+                      return;
+                    }
+                    pending += frame;
+                    ++copied;
+                    if (pending.size() >= kIoChunk) {
+                      ok = pwrite_full(out, pending.data(), pending.size(), written);
+                      written += pending.size();
+                      pending.clear();
+                    }
+                  });
+      ::close(fd);
+      absorbed.push_back(name);
+    }
+    ok = ok && pwrite_full(out, pending.data(), pending.size(), written);
+    ::close(out);
+    // A merge that found no intact record publishes nothing.
+    const bool published =
+        ok && copied > 0 && ::rename(tmp_path.c_str(), sealed_name(tmp_path).c_str()) == 0;
+    if (!published) ::unlink(tmp_path.c_str());
+    if (published || (ok && copied == 0)) {
+      for (const std::string& name : absorbed) ::unlink((dir + '/' + name).c_str());
+    }
+  }
+  ::close(dir_fd);  // releases the lock
 }
 
 }  // namespace
@@ -273,44 +393,37 @@ void ResultCache::sweep_orphaned_tmp(std::chrono::seconds min_age) {
 }
 
 void ResultCache::index_sealed_packs() {
-  std::vector<std::string> names;
-  std::error_code ec;
-  fs::directory_iterator it(dir_, fs::directory_options::skip_permission_denied, ec);
-  const fs::directory_iterator end;
-  while (!ec && it != end) {
-    std::string name = it->path().filename().string();
-    if (name.ends_with(kPackSuffix)) names.push_back(std::move(name));
-    it.increment(ec);
+  std::vector<std::string> names = sealed_pack_names(dir_);
+  if (names.size() > kMaxOpenPacks) {
+    compact(dir_);
+    names = sealed_pack_names(dir_);
   }
-  std::sort(names.begin(), names.end());
 
   // Two walks over each pack: count the frames, then fill an index of
-  // exactly that size, so the index never holds growth slack.
-  const std::string& header = pack_header();
+  // exactly that size, so the index never holds growth slack. At most
+  // kMaxOpenPacks packs are held open; the records of any beyond (only when
+  // another process holds the merge lock) are misses for this instance.
   std::string buf(kIoChunk, '\0');
   std::vector<std::uint64_t> sizes;
   std::uint64_t base = 0;
   std::size_t frames = 0;
   for (const std::string& name : names) {
-    const int fd = ::open((dir_ + '/' + name).c_str(), O_RDONLY | O_CLOEXEC);
+    if (sealed_.size() == kMaxOpenPacks) break;
+    std::uint64_t size = 0;
+    const int fd = open_pack_file(dir_ + '/' + name, size);
     if (fd < 0) continue;
-    struct stat st {};
-    const bool usable = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
-                        base + static_cast<std::uint64_t>(st.st_size) <= kMaxAddress &&
-                        pread_full(fd, buf.data(), header.size(), 0) == header.size() &&
-                        buf.compare(0, header.size(), header) == 0;
     std::size_t n = 0;
-    if (usable) {
-      walk_frames(fd, static_cast<std::uint64_t>(st.st_size), buf,
+    if (base + size <= kMaxAddress) {
+      walk_frames(fd, size, buf,
                   [&](std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t) { ++n; });
     }
-    if (n == 0 || frames + n > UINT32_MAX) {  // buckets_ holds 32-bit positions
+    if (n == 0) {
       ::close(fd);
       continue;
     }
     sealed_.push_back(Pack{fd, base});
-    sizes.push_back(static_cast<std::uint64_t>(st.st_size));
-    base += static_cast<std::uint64_t>(st.st_size);
+    sizes.push_back(size);
+    base += size;
     frames += n;
   }
   index_.reserve(frames);
@@ -325,11 +438,6 @@ void ResultCache::index_sealed_packs() {
   }
   std::sort(index_.begin(), index_.end(),
             [](const Slot& a, const Slot& b) { return a.hash < b.hash; });
-  // Two to four entries a bucket of the hash's top bits.
-  while (bucket_bits_ < 16 && (std::size_t{2} << bucket_bits_) <= index_.size()) ++bucket_bits_;
-  buckets_.assign((std::size_t{1} << bucket_bits_) + 1, 0);
-  for (const Slot& slot : index_) ++buckets_[bucket_of(slot.hash, bucket_bits_) + 1];
-  for (std::size_t b = 1; b < buckets_.size(); ++b) buckets_[b] += buckets_[b - 1];
 }
 
 std::uint64_t ResultCache::side_find(std::uint64_t hash) const {
@@ -353,7 +461,7 @@ void ResultCache::side_insert(std::uint64_t hash, std::uint64_t loc) {
   std::size_t i = hash & mask;
   while (side_[i].loc != 0 && side_[i].hash != hash) i = (i + 1) & mask;
   if (side_[i].loc == 0) ++side_count_;
-  side_[i] = Slot{hash, loc};  // a re-store replaces the old record
+  side_[i] = Slot{hash, loc};
 }
 
 bool ResultCache::load(const engine::CacheKey& key, std::string& payload) {
@@ -368,18 +476,15 @@ bool ResultCache::load(const engine::CacheKey& key, std::string& payload) {
     return true;
   };
   const std::uint64_t hash = key_hash(key.scenario, key.params);
-  const std::size_t b = bucket_of(hash, bucket_bits_);
-  const auto end = index_.begin() + buckets_[b + 1];
-  auto it = std::lower_bound(index_.begin() + buckets_[b], end, hash,
+  auto it = std::lower_bound(index_.begin(), index_.end(), hash,
                              [](const Slot& s, std::uint64_t h) { return s.hash < h; });
-  for (; it != end && it->hash == hash; ++it) {
+  for (; it != index_.end() && it->hash == hash; ++it) {
     if (read_sealed(id_, locate(sealed_, it->loc), key, payload)) return hit();
     refused = true;
   }
   if (stores_.load() != 0) {
     std::unique_lock<std::mutex> lock(mu_);
     if (const std::uint64_t loc = side_find(hash); loc != 0) {
-      // A record still in the write batch reaches the disk before it is read.
       const std::uint64_t frame_end = (loc >> kLenBits) + (loc & kLenMask);
       if (!tmp_path_.empty() && frame_end > own_.back().base + written_) flush();
       const Where at = locate(own_, loc);
@@ -408,6 +513,7 @@ void ResultCache::store(const engine::CacheKey& key, const std::string& payload)
     put_le(pending_, payload.size(), 4);
     pending_ += payload;
     put_le(pending_, checksum(pending_.data() + frame_at, kFrameHead + payload.size()), 8);
+    // A re-store, or another key with the same hash, replaces the old record.
     side_insert(key_hash(key.scenario, key.params), address << kLenBits | bytes);
     ++stores_;
     obs_stores_.add(1);
@@ -422,11 +528,8 @@ void ResultCache::store(const engine::CacheKey& key, const std::string& payload)
 
 bool ResultCache::open_pack() {
   if (store_failed_) return false;
-  char name[64];
-  std::snprintf(name, sizeof name, "/%ld-%016llx", static_cast<long>(::getpid()),
-                static_cast<unsigned long long>(random_nonce()));
-  const std::string path = dir_ + name + kTmpSuffix;
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  std::string path;
+  const int fd = create_tmp_pack(dir_, path);
   if (fd < 0) {
     store_failed_ = true;
     return false;
@@ -453,10 +556,31 @@ bool ResultCache::flush() {
 
 void ResultCache::seal() {
   if (tmp_path_.empty() || !flush()) return;
-  const std::string final_path = tmp_path_.substr(0, tmp_path_.size() - 4);  // drop ".tmp"
-  if (::rename(tmp_path_.c_str(), final_path.c_str()) != 0) ::unlink(tmp_path_.c_str());
+  if (::rename(tmp_path_.c_str(), sealed_name(tmp_path_).c_str()) != 0 &&
+      !(errno == ENOENT && republish())) {
+    ::unlink(tmp_path_.c_str());
+  }
   own_end_ = own_.back().base + written_;
   tmp_path_.clear();
+}
+
+bool ResultCache::republish() {
+  // The temp pack was reaped as an orphan by another process's open: this
+  // writer went quiet for longer than the age gate. The unlinked file is
+  // still readable through our descriptor, so seal a copy under a new name.
+  std::string path;
+  const int fd = create_tmp_pack(dir_, path);
+  if (fd < 0) return false;
+  std::string buf(kIoChunk, '\0');
+  bool ok = true;
+  for (std::uint64_t at = 0; ok && at < written_; at += buf.size()) {
+    const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(buf.size(), written_ - at));
+    ok = pread_full(own_.back().fd, buf.data(), n, at) == n && pwrite_full(fd, buf.data(), n, at);
+  }
+  ::close(fd);
+  if (ok && ::rename(path.c_str(), sealed_name(path).c_str()) == 0) return true;
+  ::unlink(path.c_str());
+  return false;
 }
 
 void ResultCache::abandon() {

@@ -1,5 +1,5 @@
-// Totality of the ResultCache pack parser: the open-time index scan and
-// load() must end every input — random buffers (bare, or behind a valid
+// Totality of the ResultCache pack parser: the open-time index scan, the
+// open-time merge of many packs, and load() must end every input — random buffers (bare, or behind a valid
 // header), every truncation, and byte flips or insertions of a valid pack —
 // in an index and a hit or a miss per key. A hit must serve exactly the bytes
 // stored under that key; anything else (a wrong payload, a crash, a hang, a
@@ -119,6 +119,48 @@ TEST_F(PackFuzz, LoadAgainstAPackRewrittenUnderItsIndex) {
       });
   EXPECT_GT(all, 0u);
   EXPECT_GT(refused, 0u);
+}
+
+TEST_F(PackFuzz, MergeOfAMutatedPackKeepsOnlyIntactRecords) {
+  // The mutated pack plus enough one-record packs to pass the merge
+  // threshold: the merge copies only frames that pass every check, so a
+  // record served from the merged pack must still be the stored one.
+  const engine::CacheKey filler_key{99, 99};
+  std::string filler;
+  {
+    const std::string stage = dir_ + "_stage";
+    fs::remove_all(stage);
+    {
+      ResultCache writer(stage);
+      writer.store(filler_key, "filler");
+    }
+    for (const auto& e : fs::directory_iterator(stage)) {
+      std::ifstream is(e.path(), std::ios::binary);
+      filler.assign(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+    }
+    fs::remove_all(stage);
+  }
+  std::size_t merged = 0;
+  test_support::for_each_mutation(
+      valid_, 0xcac4e0004ULL, 150, [&](const std::string& input, const std::string& label) {
+        fs::remove_all(dir_);
+        fs::create_directories(dir_);
+        write_pack(input);
+        for (std::size_t i = 0; i < ResultCache::kMaxOpenPacks; ++i) {
+          std::ofstream(fs::path(dir_) / ("filler-" + std::to_string(i) + ".pack"),
+                        std::ios::binary)
+              << filler;
+        }
+        ResultCache cache(dir_);
+        std::size_t packs = 0;
+        for (const auto& e : fs::directory_iterator(dir_)) packs += e.path().extension() == ".pack";
+        merged += packs == 1;
+        check_loads(cache, label);
+        std::string payload;
+        ASSERT_TRUE(cache.load(filler_key, payload)) << label;
+        EXPECT_EQ(payload, "filler") << label;
+      });
+  EXPECT_GT(merged, 0u);
 }
 
 }  // namespace

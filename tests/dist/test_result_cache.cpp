@@ -2,9 +2,15 @@
 // bit-identical to recomputed ones, across all three sweep modes),
 // version-mismatch invalidation, corrupted-pack rejection and healing,
 // incremental policy-set re-sweeps, pack rolling and sealing, visibility at
-// seal, and concurrent writers sharing one directory (this suite runs under
-// the CI TSan job via the dist_ test-name filter).
+// seal, pack merging under a low descriptor limit, and concurrent writers
+// sharing one directory (this suite runs under the CI TSan job via the dist_
+// test-name filter).
 #include "dist/result_cache.hpp"
+
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -71,6 +77,46 @@ fs::path only_pack(const std::string& dir) {
 
 std::uint64_t file_counter(const char* name) {
   return obs::Registry::global().snapshot().counter(name);
+}
+
+/// Seals `payload` under `key` as one new pack of `dir`. The pack is written
+/// in a staging directory next to `dir`, so its writer's open never merges
+/// the packs of `dir`.
+void add_pack(const std::string& dir, const engine::CacheKey& key, const std::string& payload) {
+  const std::string stage = (fs::path(dir).parent_path() / "stage").string();
+  {
+    ResultCache writer(stage);
+    writer.store(key, payload);
+  }
+  const fs::path pack = only_pack(stage);
+  fs::rename(pack, fs::path(dir) / pack.filename());
+}
+
+std::string payload_of(std::size_t i) { return "record " + std::to_string(i); }
+
+/// Lowers this process's soft descriptor limit for one scope.
+class FdLimit {
+ public:
+  explicit FdLimit(rlim_t soft) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ::setrlimit(RLIMIT_NOFILE, &lowered);
+  }
+  ~FdLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  FdLimit(const FdLimit&) = delete;
+  FdLimit& operator=(const FdLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+};
+
+/// True when this process can still open a file.
+bool can_open_a_file() {
+  const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  ::close(fd);
+  return true;
 }
 
 engine::SweepSpec small_sweep() {
@@ -564,6 +610,131 @@ TEST(ResultCache, ConcurrentWritersSharingOneDirectory) {
   const engine::SweepResult warm = reference.run(spec, &warm_cache);
   EXPECT_EQ(warm.cache_misses, 0u);
   expect_same_outcomes(plain, warm);
+}
+
+TEST(ResultCache, ManyPacksMergeIntoOneUnderALowDescriptorLimit) {
+  const CacheDir dir("many_packs");
+  fs::create_directories(dir.path());
+  // More packs than the process may hold descriptors: as many runs sharing
+  // one directory would leave behind.
+  constexpr rlim_t kLimit = 64;
+  constexpr std::size_t kPacks = 96;
+  for (std::size_t i = 0; i < kPacks; ++i) add_pack(dir.path(), engine::CacheKey{i, 1}, payload_of(i));
+  ASSERT_EQ(regular_files(dir.path(), ".pack").size(), kPacks);
+
+  const FdLimit limit(kLimit);
+  {
+    ResultCache cache(dir.path());
+    EXPECT_EQ(regular_files(dir.path(), ".pack").size(), 1u);  // merged, absorbed packs gone
+    EXPECT_TRUE(can_open_a_file());
+    std::string payload;
+    for (std::size_t i = 0; i < kPacks; ++i) {
+      ASSERT_TRUE(cache.load(engine::CacheKey{i, 1}, payload)) << i;
+      EXPECT_EQ(payload, payload_of(i));
+    }
+    cache.store(engine::CacheKey{kPacks, 1}, payload_of(kPacks));
+  }
+  EXPECT_EQ(regular_files(dir.path(), ".pack").size(), 2u);
+  EXPECT_TRUE(regular_files(dir.path(), ".tmp").empty());
+  ResultCache reader(dir.path());
+  std::string payload;
+  for (std::size_t i = 0; i <= kPacks; ++i) {
+    ASSERT_TRUE(reader.load(engine::CacheKey{i, 1}, payload)) << i;
+    EXPECT_EQ(payload, payload_of(i));
+  }
+  EXPECT_TRUE(can_open_a_file());
+}
+
+TEST(ResultCache, OpenerThatFindsTheMergeLockTakenHoldsAtMostTheCap) {
+  const CacheDir dir("merge_locked");
+  fs::create_directories(dir.path());
+  const std::size_t packs = ResultCache::kMaxOpenPacks + 8;
+  for (std::size_t i = 0; i < packs; ++i) add_pack(dir.path(), engine::CacheKey{i, 1}, payload_of(i));
+
+  // Another process merging right now holds the directory's flock.
+  const int dir_fd = ::open(dir.path().c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  ASSERT_GE(dir_fd, 0);
+  ASSERT_EQ(::flock(dir_fd, LOCK_EX | LOCK_NB), 0);
+  {
+    ResultCache cache(dir.path());
+    EXPECT_EQ(regular_files(dir.path(), ".pack").size(), packs);  // nothing merged
+    std::size_t served = 0;
+    std::string payload;
+    for (std::size_t i = 0; i < packs; ++i) {
+      if (!cache.load(engine::CacheKey{i, 1}, payload)) continue;
+      ++served;
+      EXPECT_EQ(payload, payload_of(i));
+    }
+    EXPECT_EQ(served, ResultCache::kMaxOpenPacks);  // the rest are misses
+  }
+  ::close(dir_fd);
+
+  ResultCache merged(dir.path());
+  EXPECT_EQ(regular_files(dir.path(), ".pack").size(), 1u);
+  std::string payload;
+  for (std::size_t i = 0; i < packs; ++i) {
+    ASSERT_TRUE(merged.load(engine::CacheKey{i, 1}, payload)) << i;
+    EXPECT_EQ(payload, payload_of(i));
+  }
+}
+
+TEST(ResultCache, MergeKeepsEachIntactRecordOnceAndLeavesOtherVersionsAlone) {
+  const CacheDir dir("merge_content");
+  fs::create_directories(dir.path());
+  const std::size_t keys = ResultCache::kMaxOpenPacks;
+  for (std::size_t i = 0; i < keys; ++i) add_pack(dir.path(), engine::CacheKey{i, 1}, payload_of(i));
+  // Duplicates of record 0, a pack whose only record has a flipped payload
+  // byte, and a pack of a future format version.
+  add_pack(dir.path(), engine::CacheKey{0, 1}, payload_of(0));
+  add_pack(dir.path(), engine::CacheKey{0, 1}, payload_of(0));
+  const engine::CacheKey flipped_key{keys, 1};
+  const std::string stage = (fs::path(dir.path()).parent_path() / "stage").string();
+  {
+    ResultCache writer(stage);
+    writer.store(flipped_key, "flipped");
+  }
+  std::string flipped = read_file(only_pack(stage));
+  flipped[flipped.size() - 9] ^= 0x01;  // last payload byte
+  fs::remove(only_pack(stage));
+  write_file(fs::path(dir.path()) / "1-00000000000000f1.pack", flipped);
+  const fs::path future = fs::path(dir.path()) / "1-00000000000000f2.pack";
+  write_file(future, "profisched-cache v999\nnot ours to read or delete");
+
+  ResultCache cache(dir.path());
+  const std::vector<fs::path> left = regular_files(dir.path(), ".pack");
+  ASSERT_EQ(left.size(), 2u);  // the merged pack and the future-version one
+  EXPECT_TRUE(fs::exists(future));
+  const fs::path merged = left[0] == future ? left[1] : left[0];
+  std::size_t frames_bytes = 0;
+  for (std::size_t i = 0; i < keys; ++i) frames_bytes += 28 + payload_of(i).size();
+  EXPECT_EQ(fs::file_size(merged), std::string("profisched-cache v2\n").size() + frames_bytes);
+  std::string payload;
+  for (std::size_t i = 0; i < keys; ++i) {
+    ASSERT_TRUE(cache.load(engine::CacheKey{i, 1}, payload)) << i;
+    EXPECT_EQ(payload, payload_of(i));
+  }
+  EXPECT_FALSE(cache.load(flipped_key, payload));
+}
+
+TEST(ResultCache, QuietWriterWhoseTempPackWasReapedStillSealsItsRecords) {
+  const CacheDir dir("reaped_writer");
+  const engine::CacheKey key{21, 22};
+  {
+    ResultCache writer(dir.path());
+    writer.store(key, "outlived the age gate");
+    // Another process opens the directory while this writer is quiet, with
+    // an age gate its temp pack has passed.
+    ResultCache reaper(dir.path(), std::chrono::seconds(0));
+    ASSERT_EQ(reaper.orphans_reaped(), 1u);
+    ASSERT_TRUE(regular_files(dir.path()).empty());
+    std::string payload;
+    ASSERT_TRUE(writer.load(key, payload));  // the writer still reads its own records
+  }
+  EXPECT_TRUE(regular_files(dir.path(), ".tmp").empty());
+  ResultCache reader(dir.path());
+  std::string payload;
+  ASSERT_TRUE(reader.load(key, payload));
+  EXPECT_EQ(payload, "outlived the age gate");
 }
 
 }  // namespace
